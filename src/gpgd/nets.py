@@ -5,6 +5,12 @@ autoencoders or denoisers by Adam on an MSE data term, optionally
 regularized by the stochastic orthogonality penalty: the mean over fresh
 uniform samples z of |<P(z), z - P(z)>| / (||P(z)|| ||z - P(z)||). The
 penalty gradient is differentiated fully through the quotient.
+
+All parameters of a network live in one flat float64 vector (`DenseNet.
+params`, checkpoint order); gradients and Adam moments use the same layout,
+so an Adam step is a few whole-vector operations. A training step runs one
+forward and one backward pass over the data rows stacked on the z rows, in
+buffers the network keeps per row count.
 """
 
 from __future__ import annotations
@@ -75,41 +81,78 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class Activation:
+    """Identity, or leaky ReLU max(z, slope * z) with 0 <= slope <= 1 (the
+    range where the max form equals "z if z >= 0 else slope * z")."""
+
     kind: str  # "leaky_relu" | "identity"
     slope: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("leaky_relu", "identity"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        if self.kind == "leaky_relu" and not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"leaky_relu slope must lie in [0, 1], got {self.slope}")
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Activation of z, written to out (which must not be z) if given.
+        The identity returns z itself."""
         if self.kind == "identity":
             return z
-        return np.where(z >= 0, z, self.slope * z)
+        out = np.multiply(z, self.slope, out=out)
+        return np.maximum(z, out, out=out)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """1 where z >= 0 and slope elsewhere, written to out (which may be
+        z) if given."""
+        if out is None:
+            out = np.empty_like(z)
         if self.kind == "identity":
-            return np.ones_like(z)
-        return np.where(z >= 0, 1.0, self.slope)
+            out.fill(1.0)
+            return out
+        np.greater_equal(z, 0.0, out=out)
+        return np.maximum(out, self.slope, out=out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: Activation
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
+        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("layer shapes inconsistent")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
 
 
+def _param_count(dims) -> int:
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+
+def _split(vec: np.ndarray, dims) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of a flat vector laid out in checkpoint order:
+    per layer, the weight row-major, then the bias."""
+    views = []
+    pos = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weight = vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
+        pos += fan_out * fan_in
+        views.append((weight, vec[pos : pos + fan_out]))
+        pos += fan_out
+    return views
+
+
 class DenseNet:
-    """Chain of dense layers with equal input and output width."""
+    """Chain of dense layers with equal input and output width.
+
+    The parameters live in one contiguous float64 vector, `params`, in
+    checkpoint order; each layer's weight and bias are views into it, so
+    writes through either show in the other. The constructor copies the
+    values of the layers it is given and never aliases them.
+    """
 
     def __init__(self, layers, latent_index: int | None = None):
         layers = list(layers)
@@ -122,8 +165,18 @@ class DenseNet:
             raise ValueError("projector nets need output width == input width")
         if latent_index is not None and not 0 <= latent_index < len(layers):
             raise ValueError(f"latent_index {latent_index} out of range")
-        self.layers = layers
+        dims = [layers[0].weight.shape[1]] + [l.weight.shape[0] for l in layers]
+        self.params = np.empty(_param_count(dims))
+        self.layers = []
+        for (weight, bias), layer in zip(_split(self.params, dims), layers):
+            weight[...] = layer.weight
+            bias[...] = layer.bias
+            self.layers.append(DenseLayer(weight, bias, layer.activation))
         self.latent_index = latent_index
+        # Training buffers: the gradient with its per-layer views, and one
+        # _Workspace per stacked row count; made on first use.
+        self._grad: tuple[np.ndarray, list] | None = None
+        self._workspaces: dict[int, _Workspace] = {}
 
     @property
     def n(self) -> int:
@@ -136,30 +189,28 @@ class DenseNet:
         ]
 
     def n_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
+
+    def layer_views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views of a flat vector in the parameter
+        layout, such as a gradient from loss_and_grad."""
+        if vec.shape != self.params.shape:
+            raise ValueError(f"vector shape {vec.shape}, expected {self.params.shape}")
+        return _split(vec, self.dims)
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [
-                DenseLayer(l.weight.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ],
-            self.latent_index,
-        )
+        return DenseNet(self.layers, self.latent_index)
 
     def params_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [arr.reshape(-1) for l in self.layers for arr in (l.weight, l.bias)]
-        )
+        return self.params.copy()
 
     def set_params_vector(self, vec: np.ndarray) -> None:
-        pos = 0
-        for l in self.layers:
-            for arr in (l.weight, l.bias):
-                arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
-                pos += arr.size
-        if pos != vec.size:
-            raise ValueError(f"parameter vector length {vec.size}, expected {pos}")
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != self.params.shape:
+            raise ValueError(
+                f"parameter vector length {vec.size}, expected {self.params.size}"
+            )
+        self.params[:] = vec
 
 
 class NetProjector:
@@ -210,45 +261,151 @@ def forward(net: DenseNet, x) -> np.ndarray:
 
 
 def forward_batch(net: DenseNet, X: np.ndarray):
-    """Evaluate a (batch, n) input; returns (output, caches) for backward."""
+    """Evaluate a (batch, n) input, keeping only the running activation.
+
+    Returns (output, None): no per-layer caches are kept, because the
+    training pass keeps its own in the network's workspaces.
+    """
     a = np.asarray(X, dtype=np.float64)
-    pres = []
-    acts = [a]
+    rows = a.shape[0]
+    size = rows * max(net.dims[1:])
+    # Two flat buffers take turns: `spare` is free, `other` may hold a.
+    # A layer's pre-activation goes to `spare`; a leaky ReLU then writes
+    # its output over `other`, whose input is dead once the matmul is done.
+    spare, other = np.empty(size), np.empty(size)
     for layer in net.layers:
-        z = a @ layer.weight.T + layer.bias
-        a = layer.activation.apply(z)
-        pres.append(z)
-        acts.append(a)
-    return a, (pres, acts)
+        shape = (rows, layer.weight.shape[0])
+        z = spare[: shape[0] * shape[1]].reshape(shape)
+        np.matmul(a, layer.weight.T, out=z)
+        z += layer.bias
+        if layer.activation.kind == "identity":
+            a = z
+            spare, other = other, spare
+        else:
+            a = layer.activation.apply(z, out=other[: z.size].reshape(shape))
+    return a, None
 
 
-def _backward_batch(net: DenseNet, caches, d_out: np.ndarray):
-    """Reverse-mode pass; gradients are summed over the batch."""
-    pres, acts = caches
-    grads = [None] * len(net.layers)
-    d = d_out
+class _Workspace:
+    """Buffers of one forward/backward pass over `rows` stacked rows: each
+    layer's input (acts[0] is the net input), pre-activation and upstream
+    gradient, and scratch for z - net(z). An identity layer's
+    pre-activation buffer is its output buffer."""
+
+    def __init__(self, net: DenseNet, rows: int):
+        dims = net.dims
+        self.acts = [np.empty((rows, d)) for d in dims]
+        self.pres = [
+            self.acts[l + 1] if layer.activation.kind == "identity"
+            else np.empty((rows, dims[l + 1]))
+            for l, layer in enumerate(net.layers)
+        ]
+        self.deltas = [np.empty((rows, d)) for d in dims[1:]]
+        self.resid = np.empty((rows, dims[0]))
+
+
+def _workspace(net: DenseNet, rows: int) -> _Workspace:
+    work = net._workspaces.get(rows)
+    if work is None:
+        work = net._workspaces[rows] = _Workspace(net, rows)
+    return work
+
+
+def _grad_buffer(net: DenseNet):
+    """The network's flat gradient buffer and its per-layer views."""
+    if net._grad is None:
+        grad = np.empty_like(net.params)
+        net._grad = (grad, _split(grad, net.dims))
+    return net._grad
+
+
+def _psi(P: np.ndarray, Z: np.ndarray, guard: float,
+         dpsi: np.ndarray | None = None, R: np.ndarray | None = None):
+    """Per-row orthogonality defect of outputs P = net(Z), and its gradient.
+
+    psi = |u| / (a b) with u = <p, z-p>, a = ||p||, b = ||z-p||. Rows with a
+    or b at or below the guard are degenerate: a 0/1 row weight gives them
+    zero value and zero gradient in the same arithmetic as every other row.
+    Non-finite rows are not degenerate, so their NaN reaches the caller's
+    finiteness check. When dpsi is given it receives d psi / d p row by row;
+    otherwise the gradient is skipped. R, if given, is scratch for Z - P.
+    Returns (psi per row, degenerate count).
+    """
+    R = np.subtract(Z, P, out=R)
+    u = np.einsum("ij,ij->i", P, R)
+    a = np.sqrt(np.einsum("ij,ij->i", P, P))
+    b = np.sqrt(np.einsum("ij,ij->i", R, R))
+    degenerate = (a <= guard) | (b <= guard)
+    valid = ~degenerate
+    a += degenerate  # degenerate rows divide by a positive dummy norm
+    b += degenerate
+    ab = a * b
+    abs_u = np.abs(u) * valid
+    psi_vals = abs_u / ab
+    if dpsi is not None:
+        # d psi / d p = sign(u)/(ab) (r - p) - |u|/(a^3 b) p + |u|/(a b^3) r
+        c = np.sign(u) * valid / ab
+        k_p = c + abs_u / (a * a * ab)
+        k_r = c + abs_u / (ab * b * b)
+        np.multiply(P, k_p[:, None], out=dpsi)
+        R *= k_r[:, None]
+        np.subtract(R, dpsi, out=dpsi)
+    return psi_vals, int(np.count_nonzero(degenerate))
+
+
+def _forward(net: DenseNet, work: _Workspace) -> np.ndarray:
+    """Forward pass over work.acts[0], keeping every layer's buffers."""
+    a = work.acts[0]
+    for l, layer in enumerate(net.layers):
+        z = np.matmul(a, layer.weight.T, out=work.pres[l])
+        z += layer.bias
+        a = layer.activation.apply(z, out=work.acts[l + 1])
+    return a
+
+
+def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
+              z_scale: float, guard: float):
+    """One forward and one backward pass over the stacked rows in
+    work.acts[0]: the first len(targets) are data rows, the rest z rows.
+
+    Data rows get the gradient of mean((out - targets)^2), z rows
+    z_scale * dpsi; the parameter gradient sums both. Returns (data MSE,
+    sum of psi over the z rows, gradient), the gradient being the network's
+    buffer, overwritten by the next call.
+    """
+    s = targets.shape[0]
+    out = _forward(net, work)
+    d_out = work.deltas[-1]
+    data = psi_sum = 0.0
+    if s:
+        resid = np.subtract(out[:s], targets, out=d_out[:s])
+        data = float(np.vdot(resid, resid)) / resid.size
+        resid *= 2.0
+        resid /= resid.size
+    if out.shape[0] > s:
+        psi_vals, _ = _psi(out[s:], work.acts[0][s:], guard,
+                           dpsi=d_out[s:], R=work.resid[s:])
+        psi_sum = float(psi_vals.sum())
+        d_out[s:] *= z_scale
+    grad, grad_views = _grad_buffer(net)
     for l in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[l]
-        dz = d * layer.activation.derivative(pres[l])
-        grads[l] = (dz.T @ acts[l], dz.sum(axis=0))
+        d = work.deltas[l]
+        if layer.activation.kind != "identity":
+            d *= layer.activation.derivative(work.pres[l], out=work.pres[l])
+        g_w, g_b = grad_views[l]
+        np.matmul(d.T, work.acts[l], out=g_w)
+        np.sum(d, axis=0, out=g_b)
         if l > 0:
-            d = dz @ layer.weight
-    return grads
-
-
-def _zeros_grads(net: DenseNet):
-    return [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
-
-
-def _add_grads(a, b):
-    return [(ga + gb, ba + bb) for (ga, ba), (gb, bb) in zip(a, b)]
+            np.matmul(d, layer.weight, out=work.deltas[l - 1])
+    return data, psi_sum, grad
 
 
 @dataclass
 class TrainConfig:
     """Training recipe: lam is the orthogonality-penalty weight, tau the
     Adam learning rate, xi the input-noise deviation for denoiser (PnP)
-    training."""
+    training, adam the (beta1, beta2, eps) of Adam."""
 
     lam: float = 0.0
     tau: float = 1e-3
@@ -261,16 +418,27 @@ class TrainConfig:
     psi_guard: float = 1e-9
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.mode not in ("AE", "PnP"):
             raise ValueError(f"mode must be AE or PnP, got {self.mode!r}")
-        if self.mode == "PnP" and self.xi <= 0:
+        if self.mode == "PnP" and not self.xi > 0:
             raise ValueError("PnP mode requires xi > 0")
+        if len(self.adam) != 3:
+            raise ValueError(f"adam must be (beta1, beta2, eps), got {self.adam!r}")
+        beta1, beta2, eps = self.adam
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
+            raise ValueError(
+                f"adam needs 0 <= beta1, beta2 < 1 and eps > 0, got {self.adam!r}"
+            )
+        if not self.psi_guard >= 0:
+            raise ValueError(f"psi_guard must be >= 0, got {self.psi_guard}")
 
 
 class SorResult(NamedTuple):
@@ -278,42 +446,12 @@ class SorResult(NamedTuple):
     degenerate: int
 
 
-def _psi_batch_and_grad(P: np.ndarray, Z: np.ndarray, guard: float):
-    """Per-sample orthogonality defect and its gradient w.r.t. the output.
-
-    psi = |u| / (a b) with u = <p, z-p>, a = ||p||, b = ||z-p||; rows with
-    a or b at/below the guard contribute zero value and zero gradient.
-    """
-    R = Z - P
-    u = np.sum(P * R, axis=1)
-    a = np.linalg.norm(P, axis=1)
-    b = np.linalg.norm(R, axis=1)
-    valid = (a > guard) & (b > guard)
-    psi_vals = np.zeros(P.shape[0])
-    dpsi = np.zeros_like(P)
-    if np.any(valid):
-        av = a[valid]
-        bv = b[valid]
-        uv = u[valid]
-        pv = P[valid]
-        rv = R[valid]
-        zv = Z[valid]
-        psi_vals[valid] = np.abs(uv) / (av * bv)
-        sg = np.sign(uv)
-        dpsi[valid] = (
-            (sg / (av * bv))[:, None] * (zv - 2.0 * pv)
-            + np.abs(uv)[:, None]
-            * (-pv / (av**3 * bv)[:, None] + rv / (av * bv**3)[:, None])
-        )
-    return psi_vals, dpsi, int(np.count_nonzero(~valid))
-
-
 def sor_value(net: DenseNet, z_batch, guard: float = 1e-9) -> SorResult:
     """Empirical orthogonality penalty (1/s) sum psi(z_i); degenerate
-    samples contribute zero and are counted."""
+    samples contribute zero and are counted. Value only: no gradient."""
     Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
     out, _ = forward_batch(net, Z)
-    psi_vals, _, degenerate = _psi_batch_and_grad(out, Z, guard)
+    psi_vals, degenerate = _psi(out, Z, guard)
     return SorResult(float(psi_vals.sum() / Z.shape[0]), degenerate)
 
 
@@ -326,6 +464,11 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
     (PnP). The mean runs over both batch and vector elements. The penalty
     weight lam multiplies the gradient as well, keeping the stochastic
     gradient an unbiased estimate of the regularized loss gradient.
+
+    With lam > 0 the inputs and the z batch go through one forward and one
+    backward pass as stacked rows. The gradient is a flat vector in the
+    parameter layout (see DenseNet.layer_views); it is the network's own
+    buffer, overwritten by the next call on the same network.
     """
     X = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
@@ -333,59 +476,70 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
         raise ValueError(
             f"data batch ({X.shape[0]}) and z batch ({Z.shape[0]}) sizes differ"
         )
+    if X.shape[1] != net.n or Z.shape[1] != net.n:
+        raise ValueError(f"batch width {X.shape[1]}/{Z.shape[1]}, net expects {net.n}")
     s = X.shape[0]
+    work = _workspace(net, 2 * s if cfg.lam != 0.0 else s)
+    inputs = work.acts[0]
     if cfg.mode == "PnP":
-        eps = np.random.default_rng(noise_seed).normal(0.0, cfg.xi, X.shape)
-        inputs = X + eps
+        np.random.default_rng(noise_seed).standard_normal(out=inputs[:s])
+        inputs[:s] *= cfg.xi
+        inputs[:s] += X
     else:
-        inputs = X
-    out, caches = forward_batch(net, inputs)
-    resid = out - X
-    data = float(np.mean(resid**2))
-    grads = _backward_batch(net, caches, 2.0 * resid / resid.size)
-    sor = 0.0
+        inputs[:s] = X
     if cfg.lam != 0.0:
-        outz, caches_z = forward_batch(net, Z)
-        psi_vals, dpsi, _ = _psi_batch_and_grad(outz, Z, cfg.psi_guard)
-        sor = float(psi_vals.sum() / s)
-        grads = _add_grads(
-            grads, _backward_batch(net, caches_z, (cfg.lam / s) * dpsi)
-        )
+        inputs[s:] = Z
+    data, psi_sum, grad = _backprop(net, work, X, cfg.lam / s, cfg.psi_guard)
+    sor = psi_sum / s
     loss = data + cfg.lam * sor
     if not np.isfinite(loss):
         term = "data" if not np.isfinite(data) else "sor"
         raise NonFiniteLoss(term, data, sor)
-    return loss, grads
+    return loss, grad
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Flat first and second moments in the parameter layout, and the
+    number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)  # work buffer of adam_step
 
 
 def adam_state_for(net: DenseNet) -> AdamState:
-    return AdamState(m=_zeros_grads(net), v=_zeros_grads(net))
+    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def adam_step(net: DenseNet, grads, state: AdamState, tau: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update of the flat parameter vector
+    from a flat gradient, in place."""
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != net.params.shape:
+        raise ValueError(f"gradient shape {g.shape}, expected {net.params.shape}")
     state.step += 1
     c1 = 1.0 - beta1**state.step
     c2 = 1.0 - beta2**state.step
-    for layer, (g_w, g_b), (m_w, m_b), (v_w, v_b) in zip(
-        net.layers, grads, state.m, state.v
-    ):
-        for param, g, m, v in ((layer.weight, g_w, m_w, v_w),
-                               (layer.bias, g_b, m_b, v_b)):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            param -= tau * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v, tmp = state.m, state.v, state.scratch
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=tmp)
+    v *= beta2
+    tmp = np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    # params -= (tau / c1) m / (sqrt(v / c2) + eps)
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= tau / c1
+    net.params -= tmp
     return net, state
 
 
@@ -394,6 +548,7 @@ class EpochRecord:
     epoch: int
     data_loss: float
     probe_mean_psi: float
+    probe_degenerate: int
 
 
 def train(net: DenseNet, dataset, cfg: TrainConfig):
@@ -404,13 +559,14 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     per epoch), the shuffle stream (one permutation per epoch), the z
     stream (one uniform batch per step), and the PnP noise stream (one
     seed per step). history holds one record per epoch: full-dataset
-    reconstruction MSE and the probe-set mean orthogonality defect.
+    reconstruction MSE, the probe-set mean orthogonality defect and the
+    number of degenerate probe points.
     """
     items = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     if items.shape[0] < 1:
         raise ValueError("dataset must be non-empty")
-    if items.min() < 0.0 or items.max() > 1.0:
-        raise ValueError("dataset entries must lie in [0, 1]")
+    if not np.all((items >= 0.0) & (items <= 1.0)):
+        raise ValueError("dataset entries must be finite and lie in [0, 1]")
     n = net.n
     if items.shape[1] != n:
         raise ValueError(f"dataset width {items.shape[1]}, net expects {n}")
@@ -436,18 +592,27 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
             except NonFiniteLoss as exc:
                 raise TrainingDiverged(epoch, step, exc) from exc
             adam_step(net, grads, state, cfg.tau, *cfg.adam)
-        out, _ = forward_batch(net, items)
-        data_loss = float(np.mean((out - items) ** 2))
-        probe_psi = sor_value(net, probe, cfg.psi_guard).value
-        history.append(EpochRecord(epoch, data_loss, probe_psi))
+        resid, _ = forward_batch(net, items)
+        resid -= items
+        data_loss = float(np.vdot(resid, resid)) / resid.size
+        del resid  # freed before the probe pass allocates its own buffers
+        probe_psi, probe_degenerate = sor_value(net, probe, cfg.psi_guard)
+        history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
+    # The trained net usually goes on to serve as a projector, which needs
+    # neither the gradient buffer nor the workspaces.
+    net._grad = None
+    net._workspaces.clear()
     return net, history
 
 
 def history_to_csv(history, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,data_loss,probe_mean_psi\n")
+        fh.write("epoch,data_loss,probe_mean_psi,probe_degenerate\n")
         for rec in history:
-            fh.write(f"{rec.epoch},{repr(rec.data_loss)},{repr(rec.probe_mean_psi)}\n")
+            fh.write(
+                f"{rec.epoch},{repr(rec.data_loss)},{repr(rec.probe_mean_psi)},"
+                f"{rec.probe_degenerate}\n"
+            )
 
 
 @dataclass
@@ -484,25 +649,24 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     rng = np.random.default_rng(seed)
 
     # Full-batch data gradient (exact part of the reference).
-    out, caches = forward_batch(net, items)
-    resid = out - items
-    data_grads = _backward_batch(net, caches, 2.0 * resid / resid.size)
-    data_flat = _flatten_grads(data_grads)
+    work = _workspace(net, count)
+    work.acts[0][...] = items
+    data_flat = _backprop(net, work, items, 0.0, cfg.psi_guard)[2].copy()
 
-    # Monte-Carlo penalty gradient, chunked to estimate its own error.
-    chunk_means = []
+    # Monte-Carlo penalty gradient, chunked to estimate its own error: each
+    # chunk is all z rows, scaled to the chunk mean.
     if cfg.lam != 0.0:
         n_chunks = 200
         per_chunk = max(mc_points // n_chunks, 1)
-        for _ in range(n_chunks):
-            zc = rng.uniform(size=(per_chunk, n))
-            outz, caches_z = forward_batch(net, zc)
-            _, dpsi, _ = _psi_batch_and_grad(outz, zc, cfg.psi_guard)
-            g = _backward_batch(net, caches_z, dpsi / per_chunk)
-            chunk_means.append(_flatten_grads(g))
-        chunk_arr = np.asarray(chunk_means)
+        work = _workspace(net, per_chunk)
+        no_data = np.empty((0, n))
+        chunk_arr = np.empty((n_chunks, n_params))
+        for c in range(n_chunks):
+            work.acts[0][...] = rng.uniform(size=(per_chunk, n))
+            chunk_arr[c] = _backprop(net, work, no_data, 1.0 / per_chunk,
+                                     cfg.psi_guard)[2]
         sor_ref = cfg.lam * chunk_arr.mean(axis=0)
-        se_ref_sq = cfg.lam**2 * chunk_arr.var(axis=0, ddof=1) / len(chunk_means)
+        se_ref_sq = cfg.lam**2 * chunk_arr.var(axis=0, ddof=1) / n_chunks
     else:
         sor_ref = np.zeros(n_params)
         se_ref_sq = np.zeros(n_params)
@@ -519,8 +683,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
         else:
             idx = rng.choice(count, size=cfg.batch_size, replace=False)
         zb = rng.uniform(size=(cfg.batch_size, n))
-        _, grads = loss_and_grad(net, items[idx], zb, cfg, 0)
-        flat = _flatten_grads(grads)
+        _, flat = loss_and_grad(net, items[idx], zb, cfg, 0)
         delta = flat - mean_g
         mean_g += delta / (trial + 1)
         m2 += delta * (flat - mean_g)
@@ -541,16 +704,12 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     )
 
 
-def _flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([g.reshape(-1), b]) for g, b in grads])
-
-
 _CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(net: DenseNet, path) -> None:
-    """JSON header line, then all parameters as little-endian float64 in
-    declaration order (per layer: weight row-major, then bias)."""
+    """JSON header line, then the parameter vector as little-endian float64
+    (per layer: weight row-major, then bias)."""
     header = {
         "format_version": _CHECKPOINT_VERSION,
         "dims": net.dims,
@@ -560,15 +719,10 @@ def save_checkpoint(net: DenseNet, path) -> None:
         ],
         "latent_index": net.latent_index,
     }
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for l in net.layers
-        for arr in (l.weight, l.bias)
-    )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
-        fh.write(blob)
+        fh.write(net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> DenseNet:
@@ -592,9 +746,7 @@ def load_checkpoint(path) -> DenseNet:
         raise CheckpointError(f"bad header fields: {exc}", offset=0) from None
     if len(dims) < 2 or len(act_specs) != len(dims) - 1:
         raise CheckpointError("header dims/activations inconsistent", offset=0)
-    expected = sum(
-        dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1)
-    )
+    expected = _param_count(dims)
     blob = raw[newline + 1 :]
     if len(blob) != 8 * expected:
         raise CheckpointError(
@@ -603,16 +755,11 @@ def load_checkpoint(path) -> DenseNet:
             offset=newline + 1 + min(len(blob), 8 * expected),
         )
     params = np.frombuffer(blob, dtype="<f8")
-    layers = []
-    pos = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy()
-        pos += fan_out * fan_in
-        b = params[pos : pos + fan_out].copy()
-        pos += fan_out
-        spec = act_specs[i]
-        layers.append(
+    try:
+        layers = [
             DenseLayer(w, b, Activation(spec["kind"], float(spec.get("slope", 0.0))))
-        )
-    return DenseNet(layers, latent_index)
+            for (w, b), spec in zip(_split(params, dims), act_specs)
+        ]
+        return DenseNet(layers, latent_index)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad layer specification: {exc!r}", offset=0) from None

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gpgd.nets import (
+    PROBE_POINTS,
     Activation,
     CheckpointError,
     DenseLayer,
@@ -12,6 +15,7 @@ from gpgd.nets import (
     adam_step,
     forward,
     forward_batch,
+    history_to_csv,
     load_checkpoint,
     loss_and_grad,
     make_net,
@@ -25,10 +29,6 @@ from gpgd.theory import psi
 
 def identity_net(n):
     return DenseNet([DenseLayer(np.eye(n), np.zeros(n), Activation("identity"))])
-
-
-def flatten(grads):
-    return np.concatenate([np.concatenate([g.ravel(), b]) for g, b in grads])
 
 
 # --- forward ---------------------------------------------------------------
@@ -74,6 +74,77 @@ def test_net_requires_matching_in_out():
         DenseNet([DenseLayer(np.zeros((3, 5)), np.zeros(3), Activation("identity"))])
 
 
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
+def test_leaky_relu_max_form_matches_select_form(slope):
+    # inside 0 <= slope <= 1 the where-free forms are bit-identical to the
+    # select forms "z if z >= 0 else slope z" and "1 if z >= 0 else slope"
+    z = np.random.default_rng(30).standard_normal((64, 48))
+    z[0, :3] = [0.0, -0.0, 1e-300]
+    act = Activation("leaky_relu", slope)
+    assert np.array_equal(act.apply(z), np.where(z >= 0, z, slope * z))
+    assert np.array_equal(act.derivative(z), np.where(z >= 0, 1.0, slope))
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+def test_leaky_relu_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ValueError):
+        Activation("leaky_relu", slope)
+
+
+# --- flat parameter buffer ----------------------------------------------------
+
+
+def test_layer_views_alias_params_vector():
+    net = make_net((5, 3, 5), seed=31)
+    first, last = net.layers
+    assert np.shares_memory(first.weight, net.params)
+    first.weight[0, 0] = 5.0
+    assert net.params[0] == 5.0
+    net.params[-1] = 7.0
+    assert last.bias[-1] == 7.0
+    vec = np.arange(net.n_params(), dtype=float)
+    net.set_params_vector(vec)
+    assert np.array_equal(first.weight, vec[:15].reshape(3, 5))
+    assert np.array_equal(last.bias, vec[-5:])
+
+
+def test_net_copies_the_layers_it_is_given():
+    layer = DenseLayer(np.eye(3), np.zeros(3), Activation("identity"))
+    net = DenseNet([layer])
+    net.params[0] = 2.0
+    assert layer.weight[0, 0] == 1.0
+
+
+def test_copy_gets_its_own_buffer():
+    net = make_net((4, 3, 4), seed=32)
+    twin = net.copy()
+    assert not np.shares_memory(twin.params, net.params)
+    assert np.array_equal(twin.params, net.params)
+    twin.params += 1.0
+    twin.layers[0].weight[0, 0] = 9.0
+    assert not np.any(net.params == twin.params)
+
+
+def test_params_vector_is_a_checked_copy():
+    net = make_net((4, 3, 4), seed=33)
+    vec = net.params_vector()
+    vec[0] += 1.0
+    assert net.params[0] != vec[0]
+    with pytest.raises(ValueError):
+        net.set_params_vector(np.zeros(net.n_params() + 1))
+
+
+def test_layer_views_of_a_gradient():
+    net = make_net((4, 3, 4), seed=34)
+    grad = np.arange(net.n_params(), dtype=float)
+    (g_w0, g_b0), (g_w1, g_b1) = net.layer_views(grad)
+    assert g_w0.shape == (3, 4) and g_b0.shape == (3,)
+    assert g_w1.shape == (4, 3) and g_b1.shape == (4,)
+    assert g_b1[-1] == grad[-1] and np.shares_memory(g_w1, grad)
+    with pytest.raises(ValueError):
+        net.layer_views(grad[:-1])
+
+
 # --- loss and gradient ------------------------------------------------------
 
 
@@ -83,7 +154,7 @@ def test_data_term_zero_on_fixed_points():
     batch = np.random.default_rng(1).uniform(0, 1, (2, 4))
     loss, grads = loss_and_grad(net, batch, np.zeros((2, 4)), cfg)
     assert loss == 0.0
-    assert np.all(flatten(grads) == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_single_layer_least_squares_gradient():
@@ -97,8 +168,9 @@ def test_single_layer_least_squares_gradient():
     cfg = TrainConfig(lam=0.0, batch_size=1)
     _, grads = loss_and_grad(net, x.reshape(1, -1), np.zeros((1, 5)), cfg)
     r = W @ x + b - x
-    assert np.allclose(grads[0][0], 2.0 * np.outer(r, x) / 5.0, atol=1e-14)
-    assert np.allclose(grads[0][1], 2.0 * r / 5.0, atol=1e-14)
+    g_w, g_b = net.layer_views(grads)[0]
+    assert np.allclose(g_w, 2.0 * np.outer(r, x) / 5.0, atol=1e-14)
+    assert np.allclose(g_b, 2.0 * r / 5.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("mode", ["AE", "PnP"])
@@ -110,7 +182,7 @@ def test_gradient_matches_finite_differences(mode, lam):
     X = rng.uniform(0, 1, (3, 6))
     Z = rng.uniform(0, 1, (3, 6))
     _, grads = loss_and_grad(net, X, Z, cfg, noise_seed=11)
-    bp = flatten(grads)
+    bp = grads.copy()  # the gradient buffer is reused by the next call
     theta = net.params_vector()
     h = 1e-5
     fd = np.zeros_like(theta)
@@ -142,6 +214,52 @@ def test_non_finite_loss_names_term():
         with np.errstate(over="ignore", invalid="ignore"):
             loss_and_grad(net, np.ones((1, 3)), np.ones((1, 3)), TrainConfig())
     assert exc.value.term == "data"
+
+
+@pytest.mark.parametrize("mode", ["AE", "PnP"])
+def test_stacked_pass_matches_separate_passes(mode):
+    # one pass over [inputs; Z] == data-only pass + z-only penalty pass
+    from gpgd.nets import _backprop, _workspace
+
+    rng = np.random.default_rng(35)
+    net = make_net((6, 5, 3, 5, 6), seed=36)
+    X = rng.uniform(0, 1, (7, 6))
+    Z = rng.uniform(0, 1, (7, 6))
+    cfg = TrainConfig(lam=0.4, mode=mode, batch_size=7, xi=0.1)
+    loss, grad = loss_and_grad(net, X, Z, cfg, noise_seed=5)
+    stacked = grad.copy()
+    data, data_grad = loss_and_grad(net, X, Z, TrainConfig(lam=0.0, mode=mode, xi=0.1),
+                                    noise_seed=5)
+    data_grad = data_grad.copy()
+    work = _workspace(net, 7)
+    work.acts[0][...] = Z
+    _, psi_sum, sor_grad = _backprop(net, work, np.empty((0, 6)), 0.4 / 7, 1e-9)
+    separate = data_grad + sor_grad
+    assert np.max(np.abs(stacked - separate)) <= 1e-12 * np.max(np.abs(separate))
+    assert loss == pytest.approx(data + 0.4 * psi_sum / 7, rel=1e-12)
+
+
+def test_training_step_allocates_no_large_array():
+    # activations here are 128 rows x 256 x 8 B = 256 KiB; after the first
+    # step every buffer is reused, leaving only small numpy temporaries
+    net = make_net((256, 64, 256), seed=37)
+    rng = np.random.default_rng(38)
+    X = rng.uniform(0, 1, (64, 256))
+    Z = rng.uniform(0, 1, (64, 256))
+    state = adam_state_for(net)
+    for mode in ("AE", "PnP"):
+        cfg = TrainConfig(lam=0.4, batch_size=64, mode=mode)
+        _, grad = loss_and_grad(net, X, Z, cfg, noise_seed=1)
+        adam_step(net, grad, state, cfg.tau)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, grad = loss_and_grad(net, X, Z, cfg, noise_seed=2)
+            adam_step(net, grad, state, cfg.tau)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, (mode, peak)
 
 
 # --- orthogonality penalty ---------------------------------------------------
@@ -187,6 +305,56 @@ def test_sor_inside_loss_matches_external_average():
     assert loss - data == pytest.approx(0.4 * sor_value(net, Z).value, abs=1e-12)
 
 
+def _psi_reference(P, Z, guard):
+    """Per-row loop over the textbook formula (the pre-flat-buffer kernel)."""
+    vals = np.zeros(P.shape[0])
+    grads = np.zeros_like(P)
+    degenerate = 0
+    for i, (p, z) in enumerate(zip(P, Z)):
+        r = z - p
+        u, a, b = p @ r, np.linalg.norm(p), np.linalg.norm(r)
+        if a <= guard or b <= guard:
+            degenerate += 1
+            continue
+        vals[i] = abs(u) / (a * b)
+        grads[i] = (np.sign(u) / (a * b)) * (z - 2.0 * p) + abs(u) * (
+            -p / (a**3 * b) + r / (a * b**3)
+        )
+    return vals, grads, degenerate
+
+
+def test_psi_kernel_matches_reference_with_degenerate_rows():
+    from gpgd.nets import _psi
+
+    rng = np.random.default_rng(39)
+    Z = rng.uniform(0, 1, (9, 5))
+    P = rng.uniform(0, 1, (9, 5))
+    P[2] = 0.0  # ||p|| = 0
+    P[5] = Z[5]  # ||z - p|| = 0
+    P[7] = Z[7] * (1.0 - 1e-12)  # ||z - p|| below the guard
+    ref_vals, ref_grads, ref_degenerate = _psi_reference(P, Z, 1e-9)
+    dpsi = np.full_like(P, np.nan)
+    vals, degenerate = _psi(P, Z, 1e-9, dpsi=dpsi)
+    assert degenerate == ref_degenerate == 3
+    assert np.allclose(vals, ref_vals, rtol=1e-12, atol=0.0)
+    assert np.allclose(dpsi, ref_grads, rtol=1e-10, atol=1e-12)
+    assert np.all(vals[[2, 5, 7]] == 0.0) and np.all(dpsi[[2, 5, 7]] == 0.0)
+    value_only, count = _psi(P, Z, 1e-9)
+    assert np.array_equal(value_only, vals) and count == degenerate
+
+
+def test_psi_kernel_propagates_non_finite_rows():
+    # a NaN output is not a degenerate sample: it must reach the loss check
+    from gpgd.nets import _psi
+
+    Z = np.random.default_rng(45).uniform(0, 1, (3, 4))
+    P = Z * 0.5
+    P[1, 2] = np.nan
+    vals, degenerate = _psi(P, Z, 1e-9)
+    assert degenerate == 0
+    assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
+
+
 # --- Adam ---------------------------------------------------------------------
 
 
@@ -194,7 +362,7 @@ def test_adam_zero_gradient_no_move():
     net = make_net((4, 3, 4), seed=10)
     before = net.params_vector()
     state = adam_state_for(net)
-    zero = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
+    zero = np.zeros(net.n_params())
     adam_step(net, zero, state, tau=0.1)
     assert np.array_equal(net.params_vector(), before)
     assert state.step == 1
@@ -204,11 +372,10 @@ def test_adam_first_step_closed_form():
     net = identity_net(2)
     before = net.params_vector()
     g = np.array([[1.0, -2.0], [3.0, 0.25]]), np.array([0.5, -2.0])
-    grads = [g]
-    state = adam_state_for(net)
-    adam_step(net, grads, state, tau=0.01)
-    delta = net.params_vector() - before
     g_flat = np.concatenate([g[0].ravel(), g[1]])
+    state = adam_state_for(net)
+    adam_step(net, g_flat, state, tau=0.01)
+    delta = net.params_vector() - before
     expected = -0.01 * g_flat / (np.abs(g_flat) + 1e-8)
     assert np.allclose(delta, expected, atol=1e-15)
 
@@ -216,7 +383,7 @@ def test_adam_first_step_closed_form():
 def test_adam_constant_gradient_step_magnitude_approaches_tau():
     net = identity_net(1)
     state = adam_state_for(net)
-    g = [(np.array([[3.0]]), np.array([0.0]))]
+    g = np.array([3.0, 0.0])  # weight, bias
     tau = 0.05
     prev = net.params_vector()[0]
     for _ in range(200):
@@ -224,6 +391,12 @@ def test_adam_constant_gradient_step_magnitude_approaches_tau():
         adam_step(net, g, state, tau)
     step = abs(net.params_vector()[0] - prev)
     assert step == pytest.approx(tau, rel=1e-6)
+
+
+def test_adam_rejects_gradient_of_wrong_shape():
+    net = make_net((4, 3, 4), seed=40)
+    with pytest.raises(ValueError):
+        adam_step(net, np.zeros(net.n_params() - 1), adam_state_for(net), tau=0.1)
 
 
 # --- training -----------------------------------------------------------------
@@ -294,6 +467,49 @@ def test_train_lambda_reduces_probe_psi():
     assert h1[-1].probe_mean_psi < h0[-1].probe_mean_psi
 
 
+def test_train_rejects_nan_data_before_any_step():
+    net = make_net((3, 3), seed=41)
+    before = net.params_vector()
+    data = np.array([[0.5, np.nan, 0.0], [0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match="finite"):
+        train(net, data, TrainConfig(epochs=1))
+    assert np.array_equal(net.params_vector(), before)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"epochs": -3},
+        {"adam": (1.5, 0.999, 1e-8)},
+        {"adam": (-0.1, 0.999, 1e-8)},
+        {"adam": (0.9, 1.0, 1e-8)},
+        {"adam": (0.9, 0.999, 0.0)},
+        {"adam": (0.9, 0.999)},
+        {"psi_guard": -1.0},
+        {"psi_guard": float("nan")},
+        {"lam": float("nan")},
+        {"tau": float("nan")},
+        {"mode": "PnP", "xi": float("nan")},
+    ],
+)
+def test_train_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+
+
+def test_history_records_degenerate_probe_count(tmp_path):
+    # the identity net reproduces its data exactly: the gradient is zero,
+    # the net never moves, and every probe point is degenerate
+    data = np.random.default_rng(42).uniform(0, 1, (4, 3))
+    _, history = train(identity_net(3), data, TrainConfig(epochs=2, batch_size=2))
+    assert [h.probe_degenerate for h in history] == [PROBE_POINTS, PROBE_POINTS]
+    path = tmp_path / "history.csv"
+    history_to_csv(history, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "epoch,data_loss,probe_mean_psi,probe_degenerate"
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [str(PROBE_POINTS)] * 2
+
+
 # --- unbiasedness -------------------------------------------------------------
 
 
@@ -332,25 +548,22 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     net = make_net((6, 4, 6), seed=20)
     cfg = TrainConfig(lam=0.4, batch_size=8)  # full batch: only SOR noise
 
-    out, caches = forward_batch(net, data)
-    from gpgd.nets import _backward_batch, _flatten_grads, _psi_batch_and_grad
+    from gpgd.nets import _backprop, _workspace
 
-    resid = out - data
-    data_grad = _flatten_grads(
-        _backward_batch(net, caches, 2.0 * resid / resid.size)
-    )
+    # data rows only, then z rows only, through the training pass
+    work = _workspace(net, 8)
+    work.acts[0][...] = data
+    data_grad = _backprop(net, work, data, 0.0, 1e-9)[2].copy()
     # high-precision reference (1e6 points, chunked) so its own Monte-Carlo
     # error does not flatten the measured slope at large trial counts
     rng = np.random.default_rng(21)
     sor_ref = np.zeros(net.n_params())
     n_chunks, per_chunk = 10, 100_000
+    work = _workspace(net, per_chunk)
     for _ in range(n_chunks):
-        zc = rng.uniform(size=(per_chunk, 6))
-        outz, cz = forward_batch(net, zc)
-        _, dpsi, _ = _psi_batch_and_grad(outz, zc, 1e-9)
-        sor_ref += _flatten_grads(
-            _backward_batch(net, cz, dpsi / (per_chunk * n_chunks))
-        )
+        work.acts[0][...] = rng.uniform(size=(per_chunk, 6))
+        sor_ref += _backprop(net, work, np.empty((0, 6)),
+                             1.0 / (per_chunk * n_chunks), 1e-9)[2]
     ref = data_grad + 0.4 * sor_ref
 
     errors = []
@@ -359,7 +572,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
         for _ in range(trials):
             zb = rng.uniform(size=(8, 6))
             _, grads = loss_and_grad(net, data, zb, cfg)
-            acc += _flatten_grads(grads)
+            acc += grads
         errors.append(np.linalg.norm(acc / trials - ref))
     slope = (np.log10(errors[1]) - np.log10(errors[0])) / 2.0
     assert -0.65 <= slope <= -0.35
@@ -378,6 +591,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.params_vector(), net.params_vector())
     for a, b in zip(back.layers, net.layers):
         assert a.activation == b.activation
+
+
+def test_checkpoint_roundtrip_byte_identical(tmp_path):
+    net = make_net((6, 4, 2, 4, 6), seed=43)
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(net, first)
+    save_checkpoint(load_checkpoint(first), second)
+    raw = first.read_bytes()
+    assert second.read_bytes() == raw
+    assert raw.partition(b"\n")[2] == net.params.astype("<f8").tobytes()
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -406,5 +629,23 @@ def test_checkpoint_architecture_mismatch(tmp_path):
 def test_checkpoint_missing_header(tmp_path):
     path = tmp_path / "net.ckpt"
     path.write_bytes(b"\x00\x01\x02\x03")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'"kind":"leaky_relu"', b'"kindx":"leaky_relu"'),  # missing key
+        (b'"slope":0.01', b'"slope":1.5'),  # slope outside [0, 1]
+        (b'"latent_index":0', b'"latent_index":7'),  # no such layer
+    ],
+)
+def test_checkpoint_bad_layer_specification(tmp_path, old, new):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(make_net((4, 3, 4), seed=44), path)
+    header, _, blob = path.read_bytes().partition(b"\n")
+    assert old in header
+    path.write_bytes(header.replace(old, new, 1) + b"\n" + blob)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
