@@ -26,8 +26,8 @@ from .experiments import (
     load_config_dataset,
     profile_config,
     run_experiment,
+    train_priors,
     verify_theorems,
-    _ensure_prior,
 )
 from .models import (
     ExactProjector,
@@ -135,16 +135,11 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = load_config_dataset(cfg)
-    if len(ds) <= cfg.test_count:
-        raise ConfigError(
-            f"dataset has {len(ds)} items, need more than test_count={cfg.test_count}"
-        )
-    train_items = ds.items[cfg.test_count :]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
-    for lam in cfg.lambdas:
-        _ensure_prior(cfg, lam, train_items, out)
+    for lam, net in train_priors(cfg, ds):
+        del net  # hold no prior while the next one trains
         print(f"trained/loaded prior for lambda={lam:g}")
     return 0
 

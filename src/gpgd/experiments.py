@@ -27,6 +27,7 @@ from .models import (
     sample_member,
 )
 from .nets import (
+    CheckpointError,
     NetProjector,
     TrainConfig,
     autoencoder_dims,
@@ -37,9 +38,9 @@ from .nets import (
     train,
 )
 from .operators import (
+    Blur,
     DenseOperator,
     gaussian_blur_kernel,
-    make_deblur_operator,
     make_inpainting_operator,
     make_superres_operator,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "load_config_dataset",
     "RunRow",
     "ExperimentResult",
+    "train_priors",
     "run_experiment",
     "VerifyConfig",
     "VerificationEntry",
@@ -122,6 +124,28 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not self.lambdas or not all(lam >= 0 for lam in self.lambdas):
+            raise ConfigError(f"lambdas must be non-empty and >= 0, got {self.lambdas}")
+        if not self.conv_threshold > 0:
+            raise ConfigError(f"conv_threshold must be > 0, got {self.conv_threshold}")
+        if self.gpgd_gamma is not None and not self.gpgd_gamma >= 0:
+            raise ConfigError(f"gpgd_gamma must be >= 0, got {self.gpgd_gamma}")
+        if self.gpgd_max_iters < 1:
+            raise ConfigError(
+                f"gpgd_max_iters must be >= 1, got {self.gpgd_max_iters}"
+            )
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ConfigError(
+                f"kernel_size must be odd and >= 1, got {self.kernel_size}"
+            )
+        if self.test_count < 1:
+            raise ConfigError(f"test_count must be >= 1, got {self.test_count}")
+        if self.train_epochs < 0:
+            raise ConfigError(f"train_epochs must be >= 0, got {self.train_epochs}")
+        if self.net_dims and self.net_dims[0] != self.net_dims[-1]:
+            raise ConfigError(
+                f"net_dims must end at their input width, got {self.net_dims}"
+            )
 
 
 _JSON_FIELDS = {"lambdas", "seeds", "net_dims"}
@@ -266,38 +290,75 @@ def _build_operator(cfg: ExperimentConfig, ds: Dataset, seed: int):
         if ds.shape2d is None:
             raise ConfigError("deblur needs an image-shaped dataset")
         kernel = gaussian_blur_kernel(cfg.kernel_size, cfg.sigma_k)
-        return make_deblur_operator(ds.shape2d, kernel)
+        return Blur(kernel, ds.shape2d)
     if cfg.problem == "sparse":
         rng = np.random.default_rng(_derive_seed(seed, 1))
         return DenseOperator(rng.standard_normal((cfg.sparse_m, n)))
     raise ConfigError(f"unknown problem {cfg.problem!r}")
 
 
-def _ensure_prior(cfg: ExperimentConfig, lam: float, train_items, out: Path):
-    """Load the checkpoint for this regularization weight, training it
-    inline when absent."""
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    path = ckpt_dir / f"prior_lam{lam:g}.ckpt"
-    if path.exists():
-        return load_checkpoint(path)
-    if cfg.train_epochs < 1:
-        raise ConfigError(f"missing checkpoint {path} and train_epochs < 1")
-    dims = cfg.net_dims if cfg.net_dims else autoencoder_dims(train_items.shape[1])
-    net = make_net(dims, seed=cfg.train_seed)
-    tcfg = TrainConfig(
-        lam=lam,
-        tau=cfg.train_tau,
-        batch_size=cfg.train_batch,
-        epochs=cfg.train_epochs,
-        mode=cfg.train_mode,
-        xi=cfg.train_xi,
-        seed=cfg.train_seed,
+def _split_items(cfg: ExperimentConfig, ds: Dataset):
+    """(test items, training items): the first test_count items are held out."""
+    if len(ds) <= cfg.test_count:
+        raise ConfigError(
+            f"dataset has {len(ds)} items, need more than test_count={cfg.test_count}"
+        )
+    return ds.items[: cfg.test_count], ds.items[cfg.test_count :]
+
+
+def _train_key(train_items: np.ndarray, dims, tcfg: TrainConfig) -> str:
+    """Content key of one prior: sha256 over the training items' bytes, the
+    net dims and every TrainConfig field, floats written with repr."""
+    h = hashlib.sha256(np.ascontiguousarray(train_items, dtype="<f8").tobytes())
+    text = f"dims={list(dims)!r}\n" + "".join(
+        f"{f.name}={getattr(tcfg, f.name)!r}\n" for f in fields(tcfg)
     )
-    net, history = train(net, train_items, tcfg)
-    save_checkpoint(net, path)
-    history_to_csv(history, ckpt_dir / f"history_lam{lam:g}.csv")
-    return net
+    h.update(text.encode())
+    return h.hexdigest()
+
+
+def train_priors(cfg: ExperimentConfig, ds: Dataset):
+    """Yield (lambda, prior network) for every lambda, in config order.
+
+    A prior is loaded from out_dir/checkpoints/prior_lam{lam:g}.ckpt when
+    that file exists, and is trained on the non-test items and saved there
+    (with its training history) otherwise. The checkpoint header carries
+    the prior's train key; a file whose key is missing or differs raises
+    ConfigError rather than being reused for another config. Priors are
+    made as the caller iterates, so a caller that drops each network holds
+    one at a time.
+    """
+    _, train_items = _split_items(cfg, ds)
+    ckpt_dir = Path(cfg.out_dir) / "checkpoints"
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    dims = cfg.net_dims if cfg.net_dims else autoencoder_dims(train_items.shape[1])
+    for lam in cfg.lambdas:
+        tcfg = TrainConfig(
+            lam=lam,
+            tau=cfg.train_tau,
+            batch_size=cfg.train_batch,
+            epochs=cfg.train_epochs,
+            mode=cfg.train_mode,
+            xi=cfg.train_xi,
+            seed=cfg.train_seed,
+        )
+        key = _train_key(train_items, dims, tcfg)
+        path = ckpt_dir / f"prior_lam{lam:g}.ckpt"
+        if path.exists():
+            try:
+                net = load_checkpoint(path, train_key=key)
+            except CheckpointError as exc:
+                raise ConfigError(
+                    f"cannot reuse {path} for lambda={lam!r}: {exc}"
+                ) from None
+        elif cfg.train_epochs < 1:
+            raise ConfigError(f"missing checkpoint {path} and train_epochs < 1")
+        else:
+            net, history = train(make_net(dims, seed=cfg.train_seed), train_items, tcfg)
+            save_checkpoint(net, path, train_key=key)
+            history_to_csv(history, ckpt_dir / f"history_lam{lam:g}.csv")
+        yield lam, net
+        del net  # so only the caller can keep it alive while the next one trains
 
 
 @dataclass
@@ -340,20 +401,15 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = load_config_dataset(cfg)
-    if len(ds) <= cfg.test_count:
-        raise ConfigError(
-            f"dataset has {len(ds)} items, need more than test_count={cfg.test_count}"
-        )
-    test_items = ds.items[: cfg.test_count]
-    train_items = ds.items[cfg.test_count :]
+    test_items, _ = _split_items(cfg, ds)
     chash = config_hash(cfg)
 
-    projectors = {}
-    for lam in cfg.lambdas:
-        if cfg.problem == "sparse":
-            projectors[lam] = ExactProjector(KSparse(cfg.sparse_k, ds.n))
-        else:
-            projectors[lam] = NetProjector(_ensure_prior(cfg, lam, train_items, out))
+    if cfg.problem == "sparse":
+        projectors = {
+            lam: ExactProjector(KSparse(cfg.sparse_k, ds.n)) for lam in cfg.lambdas
+        }
+    else:
+        projectors = {lam: NetProjector(net) for lam, net in train_priors(cfg, ds)}
 
     rows: list[RunRow] = []
     timings = {}
@@ -397,7 +453,11 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
                         traces_dir / f"trace_lam{lam:g}_seed{seed}_item{item_idx}.csv",
                     )
 
-    summary = _summarize(rows, cfg)
+    summary = _summarize(
+        [(r.lam, r.psnr_best, math.inf if r.conv_iter is None else r.conv_iter)
+         for r in rows],
+        cfg.lambdas,
+    )
     _write_rows(rows, out / "results.csv")
     _write_summary(summary, out / "summary.csv")
     with open(out / "timing.json", "w", encoding="ascii") as fh:
@@ -405,23 +465,20 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
     return ExperimentResult(rows=rows, summary=summary, cfg_hash=chash)
 
 
-def _summarize(rows: list[RunRow], cfg: ExperimentConfig) -> list[dict]:
+def _summarize(cells, lambdas) -> list[dict]:
+    """Per-lambda statistics, in the order of lambdas, over (lambda, best
+    PSNR, convergence iteration or inf for never) cells."""
     summary = []
-    for lam in cfg.lambdas:
-        cells = [r for r in rows if r.lam == lam]
-        psnrs = np.asarray([r.psnr_best for r in cells])
-        convs = np.asarray(
-            [math.inf if r.conv_iter is None else r.conv_iter for r in cells],
-            dtype=np.float64,
-        )
-        median_conv = float(np.median(convs)) if convs.size else math.nan
+    for lam in lambdas:
+        psnrs = np.asarray([psnr for l, psnr, _ in cells if l == lam])
+        convs = np.asarray([conv for l, _, conv in cells if l == lam], dtype=float)
         summary.append(
             {
                 "lambda": lam,
-                "cells": len(cells),
-                "mean_psnr": float(psnrs.mean()) if psnrs.size else math.nan,
-                "std_psnr": float(psnrs.std(ddof=0)) if psnrs.size else math.nan,
-                "median_conv": median_conv,
+                "cells": int(psnrs.size),
+                "mean_psnr": float(psnrs.mean()),
+                "std_psnr": float(psnrs.std(ddof=0)),
+                "median_conv": float(np.median(convs)),
                 "never_count": int(np.sum(np.isinf(convs))),
             }
         )
@@ -510,84 +567,75 @@ def _conditioned_instance(vcfg: VerifyConfig, seed: int):
     return A, rng
 
 
-def _domination_entry(name: str, vcfg: VerifyConfig, make_instance,
-                      sigma: float) -> VerificationEntry:
-    """Check the linear-recovery bound sequence against measured errors."""
-    qualifying = 0
-    excluded = 0
-    violations = []
-    worst_margin = math.inf
+def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
+    """The sparse-recovery instances that the Theorem-1 suites share: per
+    seed with delta * beta < 1 (the others carry no guarantee and are
+    excluded), (seed, A, gamma, delta, x_true, rng) with the default step
+    size gamma, delta the exact RIC of gamma A^T A over k-sparse secants,
+    and a k-sparse x_true drawn from the seed's rng, which goes on to draw
+    any noise."""
+    instances = []
     for seed in range(vcfg.nseeds):
         A, rng = make_instance(vcfg, seed)
         gamma = default_step_size(A)
         delta = theory.ric_exact_ksparse(A, gamma, vcfg.k).value
-        beta = _GOLDEN_BETA
-        if delta * beta >= 1.0:
-            excluded += 1
-            continue
-        qualifying += 1
-        x_true = np.zeros(vcfg.n)
-        support = rng.choice(vcfg.n, size=vcfg.k, replace=False)
-        x_true[support] = rng.standard_normal(vcfg.k)
-        y = A.apply(x_true)
-        if sigma > 0:
-            e = sigma * rng.standard_normal(y.size)
-            y = y + e
-            atn = float(np.linalg.norm(A.adjoint(e)))
-        else:
-            atn = 0.0
-        run_cfg = GpgdConfig(gamma=gamma, max_iters=vcfg.iters)
-        proj = ExactProjector(KSparse(vcfg.k, vcfg.n))
-        _, trace = gpgd_run(A, y, proj, run_cfg, ground_truth=x_true)
-        init_err = float(trace.err[0])
-        bound = theory.theorem1_bound(delta, beta, gamma, init_err, atn, vcfg.iters)
+        if delta * _GOLDEN_BETA < 1.0:
+            x_true = np.zeros(vcfg.n)
+            support = rng.choice(vcfg.n, size=vcfg.k, replace=False)
+            x_true[support] = rng.standard_normal(vcfg.k)
+            instances.append((seed, A, gamma, delta, x_true, rng))
+    return instances
+
+
+def _recover(vcfg: VerifyConfig, A, gamma: float, y, x_true):
+    """Trace of exact k-sparse projected gradient descent from y."""
+    run_cfg = GpgdConfig(gamma=gamma, max_iters=vcfg.iters)
+    proj = ExactProjector(KSparse(vcfg.k, vcfg.n))
+    return gpgd_run(A, y, proj, run_cfg, ground_truth=x_true)[1]
+
+
+def _theorem1_entry(name: str, vcfg: VerifyConfig, instances, violations,
+                    extra: str = "") -> VerificationEntry:
+    details = (
+        f"qualifying={len(instances)} excluded={vcfg.nseeds - len(instances)}{extra}"
+    )
+    if violations:
+        details += " violations=" + ";".join(violations)
+    return VerificationEntry(name, not violations, details)
+
+
+def _domination_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationEntry:
+    """Check the noiseless linear-recovery bound sequence against measured
+    errors."""
+    violations = []
+    worst_margin = math.inf
+    for seed, A, gamma, delta, x_true, _ in instances:
+        trace = _recover(vcfg, A, gamma, A.apply(x_true), x_true)
+        bound = theory.theorem1_bound(
+            delta, _GOLDEN_BETA, gamma, float(trace.err[0]), 0.0, vcfg.iters
+        )
         margin = float(np.min(bound.bounds + 1e-9 - trace.err))
         worst_margin = min(worst_margin, margin)
         if np.any(trace.err > bound.bounds + 1e-9):
             bad = int(np.argmax(trace.err - bound.bounds))
             violations.append(f"seed {seed} iter {bad}")
-    passed = not violations
-    details = (
-        f"qualifying={qualifying} excluded={excluded} "
-        f"worst_margin={worst_margin if qualifying else 'n/a'}"
-    )
-    if violations:
-        details += " violations=" + ";".join(violations)
-    return VerificationEntry(name, passed, details)
+    margin_text = worst_margin if instances else "n/a"
+    return _theorem1_entry(name, vcfg, instances, violations,
+                           f" worst_margin={margin_text}")
 
 
-def _stability_entry(name: str, vcfg: VerifyConfig, make_instance) -> VerificationEntry:
+def _stability_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationEntry:
     """Final noisy error against the geometric-plus-noise-limit bound."""
-    qualifying = 0
-    excluded = 0
     violations = []
-    for seed in range(vcfg.nseeds):
-        A, rng = make_instance(vcfg, seed)
-        gamma = default_step_size(A)
-        delta = theory.ric_exact_ksparse(A, gamma, vcfg.k).value
-        beta = _GOLDEN_BETA
-        rate = delta * beta
-        if rate >= 1.0:
-            excluded += 1
-            continue
-        qualifying += 1
-        x_true = np.zeros(vcfg.n)
-        support = rng.choice(vcfg.n, size=vcfg.k, replace=False)
-        x_true[support] = rng.standard_normal(vcfg.k)
+    for seed, A, gamma, delta, x_true, rng in instances:
+        rate = delta * _GOLDEN_BETA
         e = vcfg.sigma * rng.standard_normal(A.m)
-        y = A.apply(x_true) + e
         atn = float(np.linalg.norm(A.adjoint(e)))
-        run_cfg = GpgdConfig(gamma=gamma, max_iters=vcfg.iters)
-        proj = ExactProjector(KSparse(vcfg.k, vcfg.n))
-        _, trace = gpgd_run(A, y, proj, run_cfg, ground_truth=x_true)
+        trace = _recover(vcfg, A, gamma, A.apply(x_true) + e, x_true)
         cap = rate**vcfg.iters * trace.err[0] + gamma / (1.0 - rate) * atn + 1e-9
         if trace.err[-1] > cap:
             violations.append(f"seed {seed}: {trace.err[-1]} > {cap}")
-    passed = not violations
-    details = f"qualifying={qualifying} excluded={excluded}"
-    if violations:
-        details += " violations=" + ";".join(violations)
-    return VerificationEntry(name, passed, details)
+    return _theorem1_entry(name, vcfg, instances, violations)
 
 
 def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
@@ -671,16 +719,14 @@ def verify_theorems(vcfg: VerifyConfig | None = None,
     """Run the theorem-verification suites; failures are report entries,
     never exceptions."""
     vcfg = vcfg or VerifyConfig()
+    conditioned = _theorem1_instances(vcfg, _conditioned_instance)
     entries = [
         _domination_entry(
-            "theorem1-domination-gaussian", vcfg, _gaussian_instance, sigma=0.0
+            "theorem1-domination-gaussian", vcfg,
+            _theorem1_instances(vcfg, _gaussian_instance),
         ),
-        _domination_entry(
-            "theorem1-domination-conditioned", vcfg, _conditioned_instance, sigma=0.0
-        ),
-        _stability_entry(
-            "theorem1-noisy-stability-conditioned", vcfg, _conditioned_instance
-        ),
+        _domination_entry("theorem1-domination-conditioned", vcfg, conditioned),
+        _stability_entry("theorem1-noisy-stability-conditioned", vcfg, conditioned),
         _triangle_entry(vcfg),
         *_lprime_entries(vcfg),
         _exact_projector_entry(vcfg),
@@ -726,26 +772,12 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
     i_lam = cols.index("lambda")
     i_psnr = cols.index("psnr_best")
     i_conv = cols.index("conv_iter")
-    by_lam: dict[float, list] = {}
-    for row in rows:
-        by_lam.setdefault(float(row[i_lam]), []).append(row)
-    summary = []
-    for lam in sorted(by_lam):
-        group = by_lam[lam]
-        psnrs = np.asarray([float(r[i_psnr]) for r in group])
-        convs = np.asarray(
-            [math.inf if r[i_conv] == "never" else float(r[i_conv]) for r in group]
-        )
-        summary.append(
-            {
-                "lambda": lam,
-                "cells": len(group),
-                "mean_psnr": float(psnrs.mean()),
-                "std_psnr": float(psnrs.std(ddof=0)),
-                "median_conv": float(np.median(convs)),
-                "never_count": int(np.sum(np.isinf(convs))),
-            }
-        )
+    cells = [
+        (float(r[i_lam]), float(r[i_psnr]),
+         math.inf if r[i_conv] == "never" else float(r[i_conv]))
+        for r in rows
+    ]
+    summary = _summarize(cells, sorted({lam for lam, _, _ in cells}))
     lines = ["lambda   cells  mean_psnr  std_psnr  median_conv  never"]
     for rec in summary:
         conv_str = (

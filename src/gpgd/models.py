@@ -28,7 +28,6 @@ __all__ = [
     "random_lines",
     "ExactProjector",
     "PerturbedProjector",
-    "make_perturbed_projector",
     "model_to_json",
     "model_from_json",
 ]
@@ -207,11 +206,6 @@ class PerturbedProjector:
             order = np.argsort(-abs_c, kind="stable")
             pick = int(order[1])
         return (1.0 + self.t) * coeffs[pick] * self.model.directions[pick]
-
-
-def make_perturbed_projector(model: UnionOfLines, t: float, u: float,
-                             seed: int) -> PerturbedProjector:
-    return PerturbedProjector(model, t, u, seed)
 
 
 def model_to_json(model) -> str:

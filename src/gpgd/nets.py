@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .signals import as_vector
+from .theory import psi_rows
 
 __all__ = [
     "Activation",
@@ -319,40 +320,6 @@ def _grad_buffer(net: DenseNet):
     return net._grad
 
 
-def _psi(P: np.ndarray, Z: np.ndarray, guard: float,
-         dpsi: np.ndarray | None = None, R: np.ndarray | None = None):
-    """Per-row orthogonality defect of outputs P = net(Z), and its gradient.
-
-    psi = |u| / (a b) with u = <p, z-p>, a = ||p||, b = ||z-p||. Rows with a
-    or b at or below the guard are degenerate: a 0/1 row weight gives them
-    zero value and zero gradient in the same arithmetic as every other row.
-    Non-finite rows are not degenerate, so their NaN reaches the caller's
-    finiteness check. When dpsi is given it receives d psi / d p row by row;
-    otherwise the gradient is skipped. R, if given, is scratch for Z - P.
-    Returns (psi per row, degenerate count).
-    """
-    R = np.subtract(Z, P, out=R)
-    u = np.einsum("ij,ij->i", P, R)
-    a = np.sqrt(np.einsum("ij,ij->i", P, P))
-    b = np.sqrt(np.einsum("ij,ij->i", R, R))
-    degenerate = (a <= guard) | (b <= guard)
-    valid = ~degenerate
-    a += degenerate  # degenerate rows divide by a positive dummy norm
-    b += degenerate
-    ab = a * b
-    abs_u = np.abs(u) * valid
-    psi_vals = abs_u / ab
-    if dpsi is not None:
-        # d psi / d p = sign(u)/(ab) (r - p) - |u|/(a^3 b) p + |u|/(a b^3) r
-        c = np.sign(u) * valid / ab
-        k_p = c + abs_u / (a * a * ab)
-        k_r = c + abs_u / (ab * b * b)
-        np.multiply(P, k_p[:, None], out=dpsi)
-        R *= k_r[:, None]
-        np.subtract(R, dpsi, out=dpsi)
-    return psi_vals, int(np.count_nonzero(degenerate))
-
-
 def _forward(net: DenseNet, work: _Workspace) -> np.ndarray:
     """Forward pass over work.acts[0], keeping every layer's buffers."""
     a = work.acts[0]
@@ -364,7 +331,7 @@ def _forward(net: DenseNet, work: _Workspace) -> np.ndarray:
 
 
 def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
-              z_scale: float, guard: float):
+              z_scale: float):
     """One forward and one backward pass over the stacked rows in
     work.acts[0]: the first len(targets) are data rows, the rest z rows.
 
@@ -383,8 +350,8 @@ def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
         resid *= 2.0
         resid /= resid.size
     if out.shape[0] > s:
-        psi_vals, _ = _psi(out[s:], work.acts[0][s:], guard,
-                           dpsi=d_out[s:], R=work.resid[s:])
+        psi_vals, _ = psi_rows(out[s:], work.acts[0][s:], dpsi=d_out[s:],
+                               R=work.resid[s:])
         psi_sum = float(psi_vals.sum())
         d_out[s:] *= z_scale
     grad, grad_views = _grad_buffer(net)
@@ -415,7 +382,6 @@ class TrainConfig:
     xi: float = 0.1
     adam: tuple[float, float, float] = (0.9, 0.999, 1e-8)
     seed: int = 0
-    psi_guard: float = 1e-9
 
     def __post_init__(self):
         if not self.lam >= 0:
@@ -437,8 +403,6 @@ class TrainConfig:
             raise ValueError(
                 f"adam needs 0 <= beta1, beta2 < 1 and eps > 0, got {self.adam!r}"
             )
-        if not self.psi_guard >= 0:
-            raise ValueError(f"psi_guard must be >= 0, got {self.psi_guard}")
 
 
 class SorResult(NamedTuple):
@@ -446,13 +410,14 @@ class SorResult(NamedTuple):
     degenerate: int
 
 
-def sor_value(net: DenseNet, z_batch, guard: float = 1e-9) -> SorResult:
+def sor_value(net: DenseNet, z_batch) -> SorResult:
     """Empirical orthogonality penalty (1/s) sum psi(z_i); degenerate
     samples contribute zero and are counted. Value only: no gradient."""
     Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
     out, _ = forward_batch(net, Z)
-    psi_vals, degenerate = _psi(out, Z, guard)
-    return SorResult(float(psi_vals.sum() / Z.shape[0]), degenerate)
+    psi_vals, degenerate = psi_rows(out, Z)
+    return SorResult(float(psi_vals.sum() / Z.shape[0]),
+                     int(np.count_nonzero(degenerate)))
 
 
 def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
@@ -489,7 +454,7 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
         inputs[:s] = X
     if cfg.lam != 0.0:
         inputs[s:] = Z
-    data, psi_sum, grad = _backprop(net, work, X, cfg.lam / s, cfg.psi_guard)
+    data, psi_sum, grad = _backprop(net, work, X, cfg.lam / s)
     sor = psi_sum / s
     loss = data + cfg.lam * sor
     if not np.isfinite(loss):
@@ -596,7 +561,7 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
         resid -= items
         data_loss = float(np.vdot(resid, resid)) / resid.size
         del resid  # freed before the probe pass allocates its own buffers
-        probe_psi, probe_degenerate = sor_value(net, probe, cfg.psi_guard)
+        probe_psi, probe_degenerate = sor_value(net, probe)
         history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
     # The trained net usually goes on to serve as a projector, which needs
     # neither the gradient buffer nor the workspaces.
@@ -651,7 +616,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     # Full-batch data gradient (exact part of the reference).
     work = _workspace(net, count)
     work.acts[0][...] = items
-    data_flat = _backprop(net, work, items, 0.0, cfg.psi_guard)[2].copy()
+    data_flat = _backprop(net, work, items, 0.0)[2].copy()
 
     # Monte-Carlo penalty gradient, chunked to estimate its own error: each
     # chunk is all z rows, scaled to the chunk mean.
@@ -663,8 +628,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
         chunk_arr = np.empty((n_chunks, n_params))
         for c in range(n_chunks):
             work.acts[0][...] = rng.uniform(size=(per_chunk, n))
-            chunk_arr[c] = _backprop(net, work, no_data, 1.0 / per_chunk,
-                                     cfg.psi_guard)[2]
+            chunk_arr[c] = _backprop(net, work, no_data, 1.0 / per_chunk)[2]
         sor_ref = cfg.lam * chunk_arr.mean(axis=0)
         se_ref_sq = cfg.lam**2 * chunk_arr.var(axis=0, ddof=1) / n_chunks
     else:
@@ -707,9 +671,10 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
 _CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(net: DenseNet, path) -> None:
+def save_checkpoint(net: DenseNet, path, train_key: str | None = None) -> None:
     """JSON header line, then the parameter vector as little-endian float64
-    (per layer: weight row-major, then bias)."""
+    (per layer: weight row-major, then bias). A train_key, naming what
+    trained the parameters, goes into the header."""
     header = {
         "format_version": _CHECKPOINT_VERSION,
         "dims": net.dims,
@@ -719,13 +684,17 @@ def save_checkpoint(net: DenseNet, path) -> None:
         ],
         "latent_index": net.latent_index,
     }
+    if train_key is not None:
+        header["train_key"] = train_key
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
         fh.write(net.params.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path) -> DenseNet:
+def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
+    """Read a checkpoint written by save_checkpoint. When train_key is given,
+    the header must carry that key."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -737,6 +706,11 @@ def load_checkpoint(path) -> DenseNet:
     if header.get("format_version") != _CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {header.get('format_version')!r}", offset=0
+        )
+    if train_key is not None and header.get("train_key") != train_key:
+        raise CheckpointError(
+            f"train_key {header.get('train_key')!r} does not match {train_key!r}",
+            offset=0,
         )
     try:
         dims = [int(d) for d in header["dims"]]

@@ -20,14 +20,11 @@ __all__ = [
     "PixelMask",
     "Blur",
     "Composition",
-    "apply",
-    "adjoint_apply",
     "materialize",
     "gaussian_blur_kernel",
     "make_inpainting_operator",
     "make_subsample_operator",
     "make_superres_operator",
-    "make_deblur_operator",
 ]
 
 
@@ -77,14 +74,6 @@ class LinearOperator:
             cols[:, j] = self._apply(e)
             e[j] = 0.0
         return cols
-
-
-def apply(op: LinearOperator, x) -> np.ndarray:
-    return op.apply(x)
-
-
-def adjoint_apply(op: LinearOperator, y) -> np.ndarray:
-    return op.adjoint(y)
 
 
 def materialize(op) -> np.ndarray:
@@ -265,7 +254,3 @@ def make_subsample_operator(shape: tuple[int, int], factor: int) -> PixelMask:
 def make_superres_operator(shape: tuple[int, int], factor: int, kernel) -> Composition:
     """Low-pass blur followed by subsampling: A = S F."""
     return Composition([make_subsample_operator(shape, factor), Blur(kernel, shape)])
-
-
-def make_deblur_operator(shape: tuple[int, int], kernel) -> Blur:
-    return Blur(kernel, shape)

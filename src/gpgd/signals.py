@@ -21,7 +21,6 @@ __all__ = [
     "as_vector",
     "add_noise",
     "psnr",
-    "clamp01",
     "signal_to_csv",
     "signal_from_csv",
     "signal_to_raw",
@@ -118,11 +117,6 @@ def psnr(x, ref) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
-
-
-def clamp01(x) -> np.ndarray:
-    """Clamp entries into [0, 1] (image display/export convention)."""
-    return np.clip(as_vector(x), 0.0, 1.0)
 
 
 def signal_to_csv(sig: Signal, path) -> None:

@@ -24,7 +24,9 @@ from .signals import as_vector
 __all__ = [
     "PSI_GUARD",
     "cosine_alpha",
+    "psi_rows",
     "psi",
+    "phi_rows",
     "phi",
     "RicEstimate",
     "ric_exact_ksparse",
@@ -55,6 +57,45 @@ def cosine_alpha(x, y) -> float:
     return float(np.clip(np.dot(xv, yv) / (nx * ny), -1.0, 1.0))
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
+             R: np.ndarray | None = None):
+    """Per-row orthogonality defect of projections P of the rows of Z, and
+    optionally its gradient in P.
+
+    psi = |u| / (a b) with u = <p, z-p>, a = ||p||, b = ||z-p||, clamped to
+    1 against rounding. Rows with a or b at or below PSI_GUARD are
+    degenerate: a 0/1 row weight gives them zero value and zero gradient in
+    the same arithmetic as every other row. Non-finite rows are not
+    degenerate, so their NaN reaches the caller. When dpsi is given it
+    receives the unclamped d psi / d p row by row; R, if given, is scratch
+    for Z - P. Returns (psi per row, degenerate mask).
+    """
+    R = np.subtract(Z, P, out=R)
+    u = np.einsum("ij,ij->i", P, R)
+    a = _row_norms(P)
+    b = _row_norms(R)
+    degenerate = (a <= PSI_GUARD) | (b <= PSI_GUARD)
+    valid = ~degenerate
+    a += degenerate  # degenerate rows divide by a positive dummy norm
+    b += degenerate
+    ab = a * b
+    abs_u = np.abs(u) * valid
+    psi_vals = np.minimum(abs_u / ab, 1.0)
+    if dpsi is not None:
+        # d psi / d p = sign(u)/(ab) (r - p) - |u|/(a^3 b) p + |u|/(a b^3) r
+        c = np.sign(u) * valid / ab
+        k_p = c + abs_u / (a * a * ab)
+        k_r = c + abs_u / (ab * b * b)
+        np.multiply(P, k_p[:, None], out=dpsi)
+        R *= k_r[:, None]
+        np.subtract(R, dpsi, out=dpsi)
+    return psi_vals, degenerate
+
+
 def psi(P, z) -> float | None:
     """Orthogonality defect |<P(z), z - P(z)>| / (||P(z)|| ||z - P(z)||).
 
@@ -63,23 +104,20 @@ def psi(P, z) -> float | None:
     treat that as a zero contribution.
     """
     zv = as_vector(z)
-    p = as_vector(P(zv))
-    r = zv - p
-    np_ = np.linalg.norm(p)
-    nr = np.linalg.norm(r)
-    if np_ <= PSI_GUARD or nr <= PSI_GUARD:
-        return None
-    return float(min(abs(np.dot(p, r)) / (np_ * nr), 1.0))
+    vals, degenerate = psi_rows(as_vector(P(zv))[None], zv[None])
+    return None if degenerate[0] else float(vals[0])
 
 
-def _sin2(u: np.ndarray, v: np.ndarray) -> float:
-    """Squared sine of the angle between u and v (= 1 - cos^2), computed
-    from the normalized residual so colinear inputs give ~1e-32 instead
-    of the ~1e-16 noise of the naive formula."""
-    uh = u / np.linalg.norm(u)
-    vh = v / np.linalg.norm(v)
-    r = vh - np.dot(uh, vh) * uh
-    return float(np.dot(r, r))
+def _sin2(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise squared sine of the angle between rows of U and V (= 1 -
+    cos^2), computed from the normalized residual so colinear rows give
+    ~1e-32 instead of the ~1e-16 noise of the naive formula. Zero rows
+    give NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Uh = U / _row_norms(U)[:, None]
+        Vh = V / _row_norms(V)[:, None]
+    R = Vh - np.einsum("ij,ij->i", Uh, Vh)[:, None] * Uh
+    return np.einsum("ij,ij->i", R, R)
 
 
 # sin^2 below this is treated as exact colinearity (angle < 1e-12 rad);
@@ -88,28 +126,44 @@ def _sin2(u: np.ndarray, v: np.ndarray) -> float:
 _COLINEAR_GUARD = 1e-24
 
 
-def phi(model, P, z) -> float | None:
-    """Angular deviation between P and the exact projection at z.
+def phi_rows(Pperp: np.ndarray, P: np.ndarray, Z: np.ndarray):
+    """Per-row angular deviation between approximate projections P and
+    exact projections Pperp of the rows of Z.
 
-    sqrt(2 sqrt(1 - a(Pperp(z), P(z))^2) / (1 - a(z, Pperp(z))^2)); None
-    when z lies in the model set (vanishing denominator) or a cosine is
-    undefined because a projection is zero.
+    sqrt(2 sqrt(1 - a(Pperp(z), P(z))^2) / (1 - a(z, Pperp(z))^2)). A row is
+    undefined when a projection norm is at or below PSI_GUARD or the
+    denominator vanishes (z in the model set). Returns (phi per row,
+    undefined mask); undefined rows have value 0, NaN rows stay NaN.
     """
+    sin2_pp = _sin2(Pperp, P)
+    sin2_pp[sin2_pp <= _COLINEAR_GUARD] = 0.0
+    denom = _sin2(Z, Pperp)
+    undefined = (
+        (_row_norms(Pperp) <= PSI_GUARD)
+        | (_row_norms(P) <= PSI_GUARD)
+        | (denom <= 1e-12)
+    )
+    sin2_pp[undefined] = 0.0
+    denom[undefined] = 1.0
+    return np.sqrt(2.0 * np.sqrt(sin2_pp) / denom), undefined
+
+
+def _in_model_set(z: np.ndarray, pperp: np.ndarray) -> bool:
+    """Whether z lies within the guard distance of the model set, given its
+    exact projection pperp."""
+    return bool(np.linalg.norm(z - pperp) <= PSI_GUARD * (1.0 + np.linalg.norm(z)))
+
+
+def phi(model, P, z) -> float | None:
+    """Angular deviation between P and the exact projection at z (see
+    phi_rows); None when z lies in the model set, where P is not called, or
+    the value is undefined."""
     zv = as_vector(z)
     pperp = project(model, zv)
-    dist = np.linalg.norm(zv - pperp)
-    if dist <= PSI_GUARD * (1.0 + np.linalg.norm(zv)):
+    if _in_model_set(zv, pperp):
         return None
-    p = as_vector(P(zv))
-    if np.linalg.norm(pperp) <= PSI_GUARD or np.linalg.norm(p) <= PSI_GUARD:
-        return None
-    sin2_pp = _sin2(pperp, p)
-    if sin2_pp <= _COLINEAR_GUARD:
-        sin2_pp = 0.0
-    denom = _sin2(zv, pperp)
-    if denom <= 1e-12:
-        return None
-    return float(math.sqrt(2.0 * math.sqrt(sin2_pp) / denom))
+    vals, undefined = phi_rows(pperp[None], as_vector(P(zv))[None], zv[None])
+    return None if undefined[0] else float(vals[0])
 
 
 def radial_sampler(radius: float = 2.0):
@@ -139,23 +193,6 @@ class RicEstimate:
     samples: int
     seed: int | None = None
     series: np.ndarray | None = field(default=None, repr=False)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "method": self.method,
-                "samples": self.samples,
-                "seed": self.seed,
-            }
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "value,method,samples,seed"
-
-    def to_csv_row(self) -> str:
-        return f"{self.value!r},{self.method},{self.samples},{self.seed}"
 
 
 def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
@@ -231,25 +268,6 @@ class LipschitzEstimate:
     witness: tuple[np.ndarray, np.ndarray] | None
     series: np.ndarray | None = field(default=None, repr=False)
 
-    def to_json(self) -> str:
-        z, x = (None, None) if self.witness is None else self.witness
-        return json.dumps(
-            {
-                "value": self.value,
-                "samples": self.samples,
-                "seed": self.seed,
-                "witness_z": None if z is None else z.tolist(),
-                "witness_x": None if x is None else x.tolist(),
-            }
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "value,samples,seed"
-
-    def to_csv_row(self) -> str:
-        return f"{self.value!r},{self.samples},{self.seed}"
-
 
 def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
                                  z_sampler=None) -> LipschitzEstimate:
@@ -322,70 +340,55 @@ class OrthogonalityReport:
         )
 
 
+# Rows per psi/phi/lprime evaluation in orthogonality_report: large enough
+# to amortize the per-call cost of the row kernels, small enough that the
+# sample buffers stay a few tens of KB at the sizes reports run at.
+_REPORT_BLOCK = 512
+
+
 def orthogonality_report(model, P, nsamples: int, seed: int,
                          z_sampler=None) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
     Samples landing within the guard distance of the model set are skipped
-    and counted as degenerate; undefined psi values contribute zero.
+    and counted as degenerate; P is called once per remaining sample, in
+    sample order. Undefined psi and phi values contribute zero.
     """
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
     n = model.n
-    psi_sum = 0.0
-    max_psi = 0.0
-    max_phi = 0.0
-    lprime = 0.0
-    used = 0
-    degenerate = 0
-    for _ in range(nsamples):
+    rows = max(min(nsamples, _REPORT_BLOCK), 1)
+    Z, Pperp, Pz = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
+    # psi sum, then the maxima of psi, phi and the deviation ratio
+    totals = np.zeros(4)
+    used = degenerate = filled = 0
+    for i in range(nsamples):
         z = sampler(rng, n)
         pperp = project(model, z)
-        dist = np.linalg.norm(z - pperp)
-        if dist <= PSI_GUARD * (1.0 + np.linalg.norm(z)):
+        if _in_model_set(z, pperp):
             degenerate += 1
-            continue
-        used += 1
-        p = as_vector(P(z))
-        psi_val = _psi_of(p, z)
-        if psi_val is not None:
-            psi_sum += psi_val
-            max_psi = max(max_psi, psi_val)
-        phi_val = _phi_of(pperp, p, z)
-        if phi_val is not None:
-            max_phi = max(max_phi, phi_val)
-        lprime = max(lprime, float(np.linalg.norm(pperp - p) / dist))
-    mean_psi = psi_sum / used if used else 0.0
+        else:
+            Z[filled], Pperp[filled], Pz[filled] = z, pperp, as_vector(P(z))
+            filled += 1
+        if filled == rows or (filled and i == nsamples - 1):
+            z_b, pperp_b, p_b = Z[:filled], Pperp[:filled], Pz[:filled]
+            psi_vals, _ = psi_rows(p_b, z_b)
+            phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
+            lprime = _row_norms(pperp_b - p_b) / _row_norms(z_b - pperp_b)
+            totals[0] += psi_vals.sum()
+            np.maximum(totals[1:], [psi_vals.max(), phi_vals.max(), lprime.max()],
+                       out=totals[1:])
+            used += filled
+            filled = 0
     return OrthogonalityReport(
-        mean_psi=mean_psi,
-        max_psi=max_psi,
-        max_phi=max_phi,
-        lprime_hat=lprime,
+        mean_psi=float(totals[0] / used) if used else 0.0,
+        max_psi=float(totals[1]),
+        max_phi=float(totals[2]),
+        lprime_hat=float(totals[3]),
         samples=nsamples,
         seed=seed,
         degenerate=degenerate,
     )
-
-
-def _psi_of(p: np.ndarray, z: np.ndarray) -> float | None:
-    r = z - p
-    np_ = np.linalg.norm(p)
-    nr = np.linalg.norm(r)
-    if np_ <= PSI_GUARD or nr <= PSI_GUARD:
-        return None
-    return float(min(abs(np.dot(p, r)) / (np_ * nr), 1.0))
-
-
-def _phi_of(pperp: np.ndarray, p: np.ndarray, z: np.ndarray) -> float | None:
-    if np.linalg.norm(pperp) <= PSI_GUARD or np.linalg.norm(p) <= PSI_GUARD:
-        return None
-    sin2_pp = _sin2(pperp, p)
-    if sin2_pp <= _COLINEAR_GUARD:
-        sin2_pp = 0.0
-    denom = _sin2(z, pperp)
-    if denom <= 1e-12:
-        return None
-    return float(math.sqrt(2.0 * math.sqrt(sin2_pp) / denom))
 
 
 @dataclass

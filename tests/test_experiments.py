@@ -95,6 +95,21 @@ def test_config_validation():
         ExperimentConfig(ratio=1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(seeds=())
+    for bad in (
+        {"lambdas": ()},
+        {"lambdas": (0.0, -0.1)},
+        {"lambdas": (float("nan"),)},
+        {"conv_threshold": 0.0},
+        {"gpgd_gamma": -1.0},
+        {"gpgd_max_iters": 0},
+        {"kernel_size": 4},
+        {"kernel_size": -1},
+        {"test_count": 0},
+        {"train_epochs": -1},
+        {"net_dims": (16, 8, 12)},
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
 
 
 def test_profile_configs_parse_and_roundtrip():
@@ -204,6 +219,19 @@ def test_run_experiment_sparse_problem(tmp_path):
     assert all(np.isfinite(r.psnr_best) or r.psnr_best == math.inf for r in result.rows)
 
 
+def test_prior_from_another_config_is_refused(tmp_path):
+    # a checkpoint trained by one config is not silently reused by another
+    # that writes to the same out_dir
+    run_experiment(small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2),
+                   write_traces=False)
+    other = small_config(tmp_path, net_dims=(16, 4, 2, 4, 16), train_epochs=50)
+    with pytest.raises(ConfigError, match="prior_lam0.ckpt"):
+        run_experiment(other, write_traces=False)
+    # the same config reuses its own checkpoints
+    again = small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2)
+    assert len(run_experiment(again, write_traces=False).rows) == 8
+
+
 def test_run_experiment_needs_enough_items(tmp_path):
     cfg = small_config(tmp_path, dataset_count=4, test_count=4)
     with pytest.raises(ConfigError):
@@ -221,6 +249,23 @@ def test_verify_theorems_report(tmp_path):
     assert "theorem1-domination-conditioned" in names
     assert "theorem2-triangle-chain" in names
     assert (tmp_path / "v" / "theorem_report.csv").exists()
+
+
+def test_verify_theorems_builds_each_instance_once(monkeypatch):
+    # the domination and stability suites share one instance per seed, so
+    # the exact RIC runs once per (ensemble, seed)
+    from gpgd import theory
+
+    calls = []
+    original = theory.ric_exact_ksparse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "ric_exact_ksparse", counted)
+    verify_theorems(VerifyConfig(nseeds=2, nsamples=50, seed=0))
+    assert len(calls) == 2 * 2
 
 
 def test_verify_theorems_conditioned_instances_qualify(tmp_path):

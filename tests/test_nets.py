@@ -233,7 +233,7 @@ def test_stacked_pass_matches_separate_passes(mode):
     data_grad = data_grad.copy()
     work = _workspace(net, 7)
     work.acts[0][...] = Z
-    _, psi_sum, sor_grad = _backprop(net, work, np.empty((0, 6)), 0.4 / 7, 1e-9)
+    _, psi_sum, sor_grad = _backprop(net, work, np.empty((0, 6)), 0.4 / 7)
     separate = data_grad + sor_grad
     assert np.max(np.abs(stacked - separate)) <= 1e-12 * np.max(np.abs(separate))
     assert loss == pytest.approx(data + 0.4 * psi_sum / 7, rel=1e-12)
@@ -324,7 +324,7 @@ def _psi_reference(P, Z, guard):
 
 
 def test_psi_kernel_matches_reference_with_degenerate_rows():
-    from gpgd.nets import _psi
+    from gpgd.theory import psi_rows
 
     rng = np.random.default_rng(39)
     Z = rng.uniform(0, 1, (9, 5))
@@ -334,24 +334,24 @@ def test_psi_kernel_matches_reference_with_degenerate_rows():
     P[7] = Z[7] * (1.0 - 1e-12)  # ||z - p|| below the guard
     ref_vals, ref_grads, ref_degenerate = _psi_reference(P, Z, 1e-9)
     dpsi = np.full_like(P, np.nan)
-    vals, degenerate = _psi(P, Z, 1e-9, dpsi=dpsi)
-    assert degenerate == ref_degenerate == 3
+    vals, degenerate = psi_rows(P, Z, dpsi=dpsi)
+    assert np.count_nonzero(degenerate) == ref_degenerate == 3
     assert np.allclose(vals, ref_vals, rtol=1e-12, atol=0.0)
     assert np.allclose(dpsi, ref_grads, rtol=1e-10, atol=1e-12)
     assert np.all(vals[[2, 5, 7]] == 0.0) and np.all(dpsi[[2, 5, 7]] == 0.0)
-    value_only, count = _psi(P, Z, 1e-9)
-    assert np.array_equal(value_only, vals) and count == degenerate
+    value_only, mask = psi_rows(P, Z)
+    assert np.array_equal(value_only, vals) and np.array_equal(mask, degenerate)
 
 
 def test_psi_kernel_propagates_non_finite_rows():
     # a NaN output is not a degenerate sample: it must reach the loss check
-    from gpgd.nets import _psi
+    from gpgd.theory import psi_rows
 
     Z = np.random.default_rng(45).uniform(0, 1, (3, 4))
     P = Z * 0.5
     P[1, 2] = np.nan
-    vals, degenerate = _psi(P, Z, 1e-9)
-    assert degenerate == 0
+    vals, degenerate = psi_rows(P, Z)
+    assert np.count_nonzero(degenerate) == 0
     assert np.isnan(vals[1]) and np.all(np.isfinite(vals[[0, 2]]))
 
 
@@ -485,8 +485,6 @@ def test_train_rejects_nan_data_before_any_step():
         {"adam": (0.9, 1.0, 1e-8)},
         {"adam": (0.9, 0.999, 0.0)},
         {"adam": (0.9, 0.999)},
-        {"psi_guard": -1.0},
-        {"psi_guard": float("nan")},
         {"lam": float("nan")},
         {"tau": float("nan")},
         {"mode": "PnP", "xi": float("nan")},
@@ -553,7 +551,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     # data rows only, then z rows only, through the training pass
     work = _workspace(net, 8)
     work.acts[0][...] = data
-    data_grad = _backprop(net, work, data, 0.0, 1e-9)[2].copy()
+    data_grad = _backprop(net, work, data, 0.0)[2].copy()
     # high-precision reference (1e6 points, chunked) so its own Monte-Carlo
     # error does not flatten the measured slope at large trial counts
     rng = np.random.default_rng(21)
@@ -563,7 +561,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     for _ in range(n_chunks):
         work.acts[0][...] = rng.uniform(size=(per_chunk, 6))
         sor_ref += _backprop(net, work, np.empty((0, 6)),
-                             1.0 / (per_chunk * n_chunks), 1e-9)[2]
+                             1.0 / (per_chunk * n_chunks))[2]
     ref = data_grad + 0.4 * sor_ref
 
     errors = []

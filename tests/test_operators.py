@@ -8,8 +8,6 @@ from gpgd.operators import (
     DimensionMismatch,
     OperatorError,
     PixelMask,
-    adjoint_apply,
-    apply,
     gaussian_blur_kernel,
     make_inpainting_operator,
     make_subsample_operator,
@@ -61,7 +59,7 @@ def all_operator_kinds():
 
 def test_apply_dense_identity():
     op = DenseOperator(np.eye(3))
-    assert np.array_equal(apply(op, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.array_equal(op.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_apply_pixel_mask_selects():
@@ -94,7 +92,7 @@ def test_blur_matches_loop_oracle_random():
 
 def test_adjoint_dense_identity():
     op = DenseOperator(np.eye(3))
-    assert np.array_equal(adjoint_apply(op, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.array_equal(op.adjoint([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_adjoint_pixel_mask_zero_fills():

@@ -246,24 +246,57 @@ def test_report_perturbed_tangential():
     assert rep.lprime_hat > 0.0
 
 
+def _sin2_reference(u, v):
+    """Squared sine of the angle between u and v from the residual of v's
+    unit vector against u's (the colinear-safe form)."""
+    uh = u / math.sqrt(float(np.dot(u, u)))
+    vh = v / math.sqrt(float(np.dot(v, v)))
+    r = vh - float(np.dot(uh, vh)) * uh
+    return float(np.dot(r, r))
+
+
 def test_report_lprime_matches_recomputation():
-    # replay the sample stream (same seed, same sampler) and recompute the
-    # deviation ratio maximum independently
+    # replay the sample stream (same seed, same sampler, a fresh projector
+    # with the same seed) and recompute psi, phi and the deviation ratio
+    # sample by sample with scalar formulas. 1500 samples leave a partial
+    # block; u > 0 makes the projector stateful and phi non-zero.
     lines = random_lines(5, 8, seed=15)
-    proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=16)
     nsamples, seed = 1500, 10
-    rep = orthogonality_report(lines, proj, nsamples, seed=seed)
-    rng = np.random.default_rng(seed)
-    sampler = radial_sampler()
-    best = 0.0
-    for _ in range(nsamples):
-        z = sampler(rng, 8)
-        pperp = project(lines, z)
-        dist = np.linalg.norm(z - pperp)
-        if dist <= 1e-9 * (1.0 + np.linalg.norm(z)):
-            continue
-        best = max(best, float(np.linalg.norm(pperp - proj(z)) / dist))
-    assert rep.lprime_hat == pytest.approx(best, abs=1e-12)
+    for u in (0.0, 0.3):
+        rep = orthogonality_report(
+            lines, PerturbedProjector(lines, t=0.1, u=u, seed=16), nsamples, seed=seed
+        )
+        proj = PerturbedProjector(lines, t=0.1, u=u, seed=16)
+        rng = np.random.default_rng(seed)
+        sampler = radial_sampler()
+        best = psi_sum = max_psi = max_phi = 0.0
+        used = 0
+        for _ in range(nsamples):
+            z = sampler(rng, 8)
+            pperp = project(lines, z)
+            dist = np.linalg.norm(z - pperp)
+            if dist <= 1e-9 * (1.0 + np.linalg.norm(z)):
+                continue
+            used += 1
+            p = proj(z)
+            best = max(best, float(np.linalg.norm(pperp - p) / dist))
+            r = z - p
+            na, nb = np.linalg.norm(p), np.linalg.norm(r)
+            if na > 1e-9 and nb > 1e-9:
+                psi_val = min(abs(float(np.dot(p, r))) / (na * nb), 1.0)
+                psi_sum += psi_val
+                max_psi = max(max_psi, psi_val)
+            if np.linalg.norm(pperp) > 1e-9 and na > 1e-9:
+                sin2_pp = _sin2_reference(pperp, p)
+                sin2_pp = 0.0 if sin2_pp <= 1e-24 else sin2_pp
+                denom = _sin2_reference(z, pperp)
+                if denom > 1e-12:
+                    max_phi = max(max_phi, math.sqrt(2.0 * math.sqrt(sin2_pp) / denom))
+        assert rep.lprime_hat == pytest.approx(best, abs=1e-12)
+        assert rep.mean_psi == pytest.approx(psi_sum / used, rel=1e-12)
+        assert rep.max_psi == pytest.approx(max_psi, rel=1e-12)
+        assert rep.max_phi == pytest.approx(max_phi, rel=1e-12, abs=1e-12)
+        assert (max_phi > 0.1) == (u > 0.0)
 
 
 def test_report_json_and_csv():
