@@ -31,6 +31,7 @@ from .nets import (
     NetProjector,
     TrainConfig,
     autoencoder_dims,
+    checkpoint_train_key,
     history_to_csv,
     load_checkpoint,
     make_net,
@@ -323,15 +324,19 @@ def train_priors(cfg: ExperimentConfig, ds: Dataset):
     A prior is loaded from out_dir/checkpoints/prior_lam{lam:g}.ckpt when
     that file exists, and is trained on the non-test items and saved there
     (with its training history) otherwise. The checkpoint header carries
-    the prior's train key; a file whose key is missing or differs raises
-    ConfigError rather than being reused for another config. Priors are
-    made as the caller iterates, so a caller that drops each network holds
-    one at a time.
+    the prior's train key. Before any prior is trained or loaded, every
+    existing checkpoint's key is checked, and a missing or different key
+    (or two lambdas that share a file name but not a key) raises
+    ConfigError rather than reusing a file made for another config. Priors
+    are made as the caller iterates, so a caller that drops each network
+    holds one at a time.
     """
     _, train_items = _split_items(cfg, ds)
     ckpt_dir = Path(cfg.out_dir) / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     dims = cfg.net_dims if cfg.net_dims else autoencoder_dims(train_items.shape[1])
+    plan = []
+    keys: dict[Path, tuple[float, str]] = {}
     for lam in cfg.lambdas:
         tcfg = TrainConfig(
             lam=lam,
@@ -344,15 +349,25 @@ def train_priors(cfg: ExperimentConfig, ds: Dataset):
         )
         key = _train_key(train_items, dims, tcfg)
         path = ckpt_dir / f"prior_lam{lam:g}.ckpt"
+        first, first_key = keys.setdefault(path, (lam, key))
+        if first_key != key:
+            raise ConfigError(f"lambdas {first!r} and {lam!r} share {path}")
         if path.exists():
             try:
-                net = load_checkpoint(path, train_key=key)
+                found = checkpoint_train_key(path)
             except CheckpointError as exc:
+                raise ConfigError(f"cannot reuse {path}: {exc}") from None
+            if found != key:
                 raise ConfigError(
-                    f"cannot reuse {path} for lambda={lam!r}: {exc}"
-                ) from None
+                    f"cannot reuse {path} for lambda={lam!r}: train_key "
+                    f"{found!r} does not match {key!r}"
+                )
         elif cfg.train_epochs < 1:
             raise ConfigError(f"missing checkpoint {path} and train_epochs < 1")
+        plan.append((lam, tcfg, key, path))
+    for lam, tcfg, key, path in plan:
+        if path.exists():
+            net = load_checkpoint(path, train_key=key)
         else:
             net, history = train(make_net(dims, seed=cfg.train_seed), train_items, tcfg)
             save_checkpoint(net, path, train_key=key)
@@ -425,11 +440,7 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
             y = add_noise(y_clean, NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item_idx)))
             for lam in cfg.lambdas:
                 started = time.perf_counter()
-                run_cfg = GpgdConfig(
-                    gamma=gamma,
-                    max_iters=cfg.gpgd_max_iters,
-                    record_full_iterates=True,
-                )
+                run_cfg = GpgdConfig(gamma=gamma, max_iters=cfg.gpgd_max_iters)
                 _, trace = gpgd_run(A, y, projectors[lam], run_cfg, ground_truth=x_true)
                 idx, x_star = best_iterate(trace)
                 conv = convergence_iteration(trace, x_star, cfg.conv_threshold)
@@ -580,9 +591,7 @@ def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
         gamma = default_step_size(A)
         delta = theory.ric_exact_ksparse(A, gamma, vcfg.k).value
         if delta * _GOLDEN_BETA < 1.0:
-            x_true = np.zeros(vcfg.n)
-            support = rng.choice(vcfg.n, size=vcfg.k, replace=False)
-            x_true[support] = rng.standard_normal(vcfg.k)
+            x_true = sample_member(KSparse(vcfg.k, vcfg.n), rng)
             instances.append((seed, A, gamma, delta, x_true, rng))
     return instances
 

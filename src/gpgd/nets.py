@@ -52,6 +52,7 @@ __all__ = [
     "UnbiasednessReport",
     "save_checkpoint",
     "load_checkpoint",
+    "checkpoint_train_key",
 ]
 
 PROBE_POINTS = 512
@@ -692,21 +693,34 @@ def save_checkpoint(net: DenseNet, path, train_key: str | None = None) -> None:
         fh.write(net.params.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
-    """Read a checkpoint written by save_checkpoint. When train_key is given,
-    the header must carry that key."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise CheckpointError("missing header terminator", offset=len(raw))
+def _read_header(line: bytes) -> dict:
+    """Parse and version-check a checkpoint's header line, terminator included."""
+    if not line.endswith(b"\n"):
+        raise CheckpointError("missing header terminator", offset=len(line))
     try:
-        header = json.loads(raw[:newline])
+        header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"bad header JSON: {exc.msg}", offset=exc.pos) from None
     if header.get("format_version") != _CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {header.get('format_version')!r}", offset=0
         )
+    return header
+
+
+def checkpoint_train_key(path) -> str | None:
+    """The train_key in a checkpoint's header (None when it has none), read
+    without loading the parameters."""
+    with open(path, "rb") as fh:
+        return _read_header(fh.readline()).get("train_key")
+
+
+def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
+    """Read a checkpoint written by save_checkpoint. When train_key is given,
+    the header must carry that key."""
+    raw = Path(path).read_bytes()
+    line_end = raw.find(b"\n") + 1 or len(raw)
+    header = _read_header(raw[:line_end])
     if train_key is not None and header.get("train_key") != train_key:
         raise CheckpointError(
             f"train_key {header.get('train_key')!r} does not match {train_key!r}",
@@ -721,12 +735,12 @@ def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
     if len(dims) < 2 or len(act_specs) != len(dims) - 1:
         raise CheckpointError("header dims/activations inconsistent", offset=0)
     expected = _param_count(dims)
-    blob = raw[newline + 1 :]
+    blob = raw[line_end:]
     if len(blob) != 8 * expected:
         raise CheckpointError(
             f"parameter blob mismatch for dims {dims}: expected {8 * expected} "
             f"bytes, got {len(blob)}",
-            offset=newline + 1 + min(len(blob), 8 * expected),
+            offset=line_end + min(len(blob), 8 * expected),
         )
     params = np.frombuffer(blob, dtype="<f8")
     try:

@@ -2,7 +2,8 @@
 
 Signals are 1-D float64 vectors; images carry an optional (height, width)
 shape and are expected in [0, 1] after explicit clamping only (raw solver
-iterates may leave that range).
+iterates may leave that range). psnr also scores a 2-D stack of signals,
+one per row, against one reference in a single call.
 """
 
 from __future__ import annotations
@@ -104,19 +105,25 @@ def add_noise(y, spec: NoiseSpec) -> np.ndarray:
     return vec + spec.sigma * rng.standard_normal(vec.size)
 
 
-def psnr(x, ref) -> float:
+def psnr(x, ref):
     """PSNR in dB against a [0,1]-peak reference: 10*log10(1 / MSE).
 
-    Returns math.inf when the signals match exactly (MSE = 0).
+    x is one signal (gives a float) or a 2-D array holding a stack of
+    signals, one per row (gives an array whose entry i equals
+    psnr(x[i], ref) bit for bit). The value is math.inf where a signal
+    matches the reference exactly (MSE = 0).
     """
-    xv = as_vector(x)
     rv = as_vector(ref)
-    if xv.size != rv.size:
-        raise SignalError(f"length mismatch: {xv.size} vs {rv.size}")
-    mse = float(np.mean((xv - rv) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / mse)
+    xs = x.data if isinstance(x, Signal) else np.asarray(x, dtype=np.float64)
+    if xs.ndim != 2:
+        xs = xs.reshape(-1)
+    if xs.shape[-1] != rv.size:
+        raise SignalError(f"length mismatch: {xs.shape[-1]} vs {rv.size}")
+    d = xs - rv
+    mse = np.mean(d * d, axis=-1)
+    db = [math.inf if m == 0.0 else 10.0 * math.log10(1.0 / m)
+          for m in np.atleast_1d(mse).tolist()]
+    return np.asarray(db) if xs.ndim == 2 else db[0]
 
 
 def signal_to_csv(sig: Signal, path) -> None:

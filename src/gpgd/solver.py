@@ -1,14 +1,16 @@
 """Generalized projected gradient descent with per-iteration tracing.
 
 The update is x_{k+1} = P(x_k) - gamma * A^T (A P(x_k) - y). Runs execute
-the full iteration budget by default (no early stopping) and record the
-initial point as iterate 0, matching the convention that a convergence
-iteration of 0 means the initial guess was already good enough.
+the full iteration budget (no early stopping) and record the initial point
+as iterate 0, matching the convention that a convergence iteration of 0
+means the initial guess was already good enough. The iterates are kept as
+one stack, from which the error, PSNR and residual records are derived in
+whole-array operations after the loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +43,12 @@ class SolverDivergence(RuntimeError):
 @dataclass
 class GpgdConfig:
     """Solver settings. gamma=None selects 1/||A||_2^2 at run time; x0=None
-    starts from A^T y. Early stopping (relative residual stagnation) is off
-    by default: the standard protocol runs all iterations and picks the
-    best iterate afterwards."""
+    starts from A^T y. A run always executes all max_iters updates: the
+    standard protocol picks the best iterate afterwards."""
 
     gamma: float | None = None
     max_iters: int = 150
     x0: np.ndarray | None = None
-    record_full_iterates: bool = False
-    early_stop_rel_change: float | None = None
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma < 0:
@@ -60,25 +59,35 @@ class GpgdConfig:
 
 @dataclass
 class GpgdTrace:
-    """Per-iterate records; index 0 is the initial point.
+    """One run's records; row and index 0 are the initial point.
 
-    err/rel_err/psnr_db are populated only when ground truth is supplied.
+    iterates is the (max_iters + 1, n) stack of every iterate and
+    residual[i] = ||A x_i - y||. err/rel_err/psnr_db are set only when
+    ground truth is supplied (rel_err not when ||ground_truth|| = 0).
     proj_err[i] = ||P(x_i) - ground_truth|| for the projection used to form
-    x_{i+1} (length = iterations executed). iterates is populated only when
-    requested in the config.
+    x_{i+1} (length max_iters).
     """
 
     gamma: float
-    residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual: np.ndarray
+    iterates: np.ndarray
     err: np.ndarray | None = None
     rel_err: np.ndarray | None = None
     psnr_db: np.ndarray | None = None
     proj_err: np.ndarray | None = None
-    iterates: list[np.ndarray] | None = None
-    best_index: int | None = None
+
+    @property
+    def best_index(self) -> int | None:
+        """Index of the best-PSNR iterate (lowest index wins a tie)."""
+        return None if self.psnr_db is None else int(np.argmax(self.psnr_db))
 
     def __len__(self) -> int:
         return self.residual.size
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; equals np.linalg.norm(row) bit for bit."""
+    return np.sqrt(np.vecdot(D, D))
 
 
 def default_step_size(A: LinearOperator, tol: float = 1e-8,
@@ -109,65 +118,43 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
     """Run the projected gradient iteration and record its trace.
 
     P is any callable R^n -> R^n (exact projection, perturbed projection,
-    or a trained network). Deterministic whenever P is.
+    or a trained network). Deterministic whenever P is. The returned final
+    iterate is a fresh array, not a view of the trace.
     """
     yv = as_vector(y)
     gamma = cfg.gamma if cfg.gamma is not None else default_step_size(A)
     x = as_vector(cfg.x0).copy() if cfg.x0 is not None else A.adjoint(yv)
-    truth = None if ground_truth is None else as_vector(ground_truth)
-
-    residuals = [float(np.linalg.norm(A.apply(x) - yv))]
-    errs: list[float] = []
-    psnrs: list[float] = []
-    proj_errs: list[float] = []
-    iterates: list[np.ndarray] | None = [x.copy()] if cfg.record_full_iterates else None
-    if truth is not None:
-        errs.append(float(np.linalg.norm(x - truth)))
-        psnrs.append(psnr(x, truth))
-
+    X = np.empty((cfg.max_iters + 1, x.size))
+    R = np.empty((cfg.max_iters + 1, yv.size))
+    proj = np.empty((cfg.max_iters, x.size))
+    X[0] = x
+    R[0] = A.apply(x) - yv
     for i in range(1, cfg.max_iters + 1):
         p = as_vector(P(x))
-        if truth is not None:
-            proj_errs.append(float(np.linalg.norm(p - truth)))
+        proj[i - 1] = p
         x = p - gamma * A.adjoint(A.apply(p) - yv)
         if not np.all(np.isfinite(x)):
             raise SolverDivergence(i, float(np.linalg.norm(x[np.isfinite(x)])))
-        res = float(np.linalg.norm(A.apply(x) - yv))
-        residuals.append(res)
-        if truth is not None:
-            errs.append(float(np.linalg.norm(x - truth)))
-            psnrs.append(psnr(x, truth))
-        if iterates is not None:
-            iterates.append(x.copy())
-        if cfg.early_stop_rel_change is not None and i >= 2:
-            prev = residuals[-2]
-            if abs(res - prev) <= cfg.early_stop_rel_change * max(prev, 1e-300):
-                break
+        X[i] = x
+        R[i] = A.apply(x) - yv
 
-    truth_norm = None if truth is None else float(np.linalg.norm(truth))
-    trace = GpgdTrace(
-        gamma=gamma,
-        residual=np.asarray(residuals),
-        err=np.asarray(errs) if truth is not None else None,
-        rel_err=(
-            np.asarray(errs) / truth_norm
-            if truth is not None and truth_norm > 0
-            else None
-        ),
-        psnr_db=np.asarray(psnrs) if truth is not None else None,
-        proj_err=np.asarray(proj_errs) if truth is not None else None,
-        iterates=iterates,
-        best_index=int(np.argmax(psnrs)) if psnrs else None,
-    )
+    trace = GpgdTrace(gamma=gamma, residual=_row_norms(R), iterates=X)
+    if ground_truth is not None:
+        truth = as_vector(ground_truth)
+        truth_norm = float(np.linalg.norm(truth))
+        proj -= truth
+        trace.err = _row_norms(X - truth)
+        trace.rel_err = trace.err / truth_norm if truth_norm > 0 else None
+        trace.psnr_db = psnr(X, truth)
+        trace.proj_err = _row_norms(proj)
     return x, trace
 
 
 def convergence_iteration(trace: GpgdTrace, x_star, threshold: float) -> int | None:
     """First iterate i with ||x_i - x_star|| / ||x_star|| <= threshold.
 
-    Returns None when no iterate qualifies. Requires full iterates in the
-    trace (the reference point is usually the best iterate of the same
-    run, unknown until the run finishes).
+    Returns None when no iterate qualifies. The reference point is usually
+    the best iterate of the same run, unknown until the run finishes.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -175,25 +162,15 @@ def convergence_iteration(trace: GpgdTrace, x_star, threshold: float) -> int | N
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ValueError("convergence_iteration: ||x_star|| = 0")
-    if trace.iterates is None:
-        raise ValueError("trace has no full iterates; enable record_full_iterates")
-    for i, xi in enumerate(trace.iterates):
-        if np.linalg.norm(xi - ref) / ref_norm <= threshold:
-            return i
-    return None
+    hits = np.flatnonzero(_row_norms(trace.iterates - ref) / ref_norm <= threshold)
+    return int(hits[0]) if hits.size else None
 
 
-def best_iterate(trace: GpgdTrace, ground_truth=None) -> tuple[int, np.ndarray]:
+def best_iterate(trace: GpgdTrace) -> tuple[int, np.ndarray]:
     """Iterate with the best PSNR against ground truth (lowest index wins)."""
-    if trace.iterates is None or not trace.iterates:
-        raise ValueError("best_iterate requires recorded full iterates")
-    if trace.psnr_db is not None:
-        idx = int(np.argmax(trace.psnr_db))
-    else:
-        if ground_truth is None:
-            raise ValueError("best_iterate requires ground truth")
-        truth = as_vector(ground_truth)
-        idx = int(np.argmax([psnr(xi, truth) for xi in trace.iterates]))
+    if trace.psnr_db is None:
+        raise ValueError("best_iterate requires a run with ground truth")
+    idx = trace.best_index
     return idx, trace.iterates[idx]
 
 

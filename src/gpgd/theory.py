@@ -11,7 +11,6 @@ enumeration.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -308,36 +307,6 @@ class OrthogonalityReport:
     samples: int
     seed: int
     degenerate: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_psi": self.mean_psi,
-                "max_psi": self.max_psi,
-                "max_phi": self.max_phi,
-                "lprime_hat": self.lprime_hat,
-                "samples": self.samples,
-                "seed": self.seed,
-                "degenerate": self.degenerate,
-            }
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "mean_psi,max_psi,max_phi,lprime_hat,samples,seed,degenerate"
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.mean_psi),
-                repr(self.max_psi),
-                repr(self.max_phi),
-                repr(self.lprime_hat),
-                str(self.samples),
-                str(self.seed),
-                str(self.degenerate),
-            ]
-        )
 
 
 # Rows per psi/phi/lprime evaluation in orthogonality_report: large enough

@@ -15,6 +15,7 @@ from gpgd.experiments import (
     config_to_text,
     load_config_dataset,
     run_experiment,
+    train_priors,
     verify_theorems,
 )
 from gpgd.models import ExactProjector, KSparse
@@ -138,7 +139,7 @@ def test_identity_operator_fixed_point_item():
     x_true[2] = 1.0
     A = DenseOperator(np.eye(8))
     proj = ExactProjector(KSparse(1, 8))
-    cfg = GpgdConfig(gamma=1.0, max_iters=10, x0=x_true, record_full_iterates=True)
+    cfg = GpgdConfig(gamma=1.0, max_iters=10, x0=x_true)
     _, trace = gpgd_run(A, x_true, proj, cfg, ground_truth=x_true)
     idx, x_star = best_iterate(trace)
     assert idx == 0
@@ -177,11 +178,7 @@ def test_run_experiment_matches_manual_run(tmp_path):
     A = make_inpainting_operator(ds.n, cfg.ratio, _derive_seed(seed, 1))
     x_true = ds.items[item]
     y = add_noise(A.apply(x_true), NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item)))
-    run_cfg = GpgdConfig(
-        gamma=default_step_size(A),
-        max_iters=cfg.gpgd_max_iters,
-        record_full_iterates=True,
-    )
+    run_cfg = GpgdConfig(gamma=default_step_size(A), max_iters=cfg.gpgd_max_iters)
     _, trace = gpgd_run(A, y, NetProjector(net), run_cfg, ground_truth=x_true)
     idx, x_star = best_iterate(trace)
     conv = convergence_iteration(trace, x_star, cfg.conv_threshold)
@@ -230,6 +227,25 @@ def test_prior_from_another_config_is_refused(tmp_path):
     # the same config reuses its own checkpoints
     again = small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2)
     assert len(run_experiment(again, write_traces=False).rows) == 8
+
+
+def test_stale_prior_is_refused_before_any_training(tmp_path):
+    # every existing checkpoint is checked before the first lambda trains
+    first = small_config(tmp_path, lambdas=(0.4,), train_epochs=2)
+    list(train_priors(first, load_config_dataset(first)))
+    ckpt_dir = Path(first.out_dir) / "checkpoints"
+    second = small_config(tmp_path, lambdas=(0.2, 0.4), train_epochs=3)
+    with pytest.raises(ConfigError, match="prior_lam0.4.ckpt"):
+        next(train_priors(second, load_config_dataset(second)))
+    assert not (ckpt_dir / "prior_lam0.2.ckpt").exists()
+    assert not (ckpt_dir / "history_lam0.2.csv").exists()
+
+
+def test_lambdas_sharing_a_checkpoint_name_are_refused(tmp_path):
+    cfg = small_config(tmp_path, lambdas=(0.1, 0.1000001), train_epochs=2)
+    with pytest.raises(ConfigError, match="share"):
+        next(train_priors(cfg, load_config_dataset(cfg)))
+    assert not any((Path(cfg.out_dir) / "checkpoints").iterdir())
 
 
 def test_run_experiment_needs_enough_items(tmp_path):

@@ -38,6 +38,19 @@ def test_psnr_length_mismatch():
         psnr(np.zeros(3), np.zeros(4))
 
 
+def test_psnr_stack_rows_equal_scalar_psnr():
+    rng = np.random.default_rng(3)
+    ref = rng.uniform(0, 1, 50)
+    stack = ref + rng.standard_normal((6, 50)) * np.logspace(-6, 0, 6)[:, None]
+    stack[2] = ref  # zero error
+    got = psnr(stack, ref)
+    assert got.shape == (6,)
+    assert got.tolist() == [psnr(row, ref) for row in stack]
+    assert got[2] == math.inf
+    with pytest.raises(SignalError):
+        psnr(np.zeros((3, 4)), np.zeros(5))
+
+
 def test_add_noise_sigma_zero_unchanged():
     y = np.array([1.0, 2.0, 3.0])
     out = add_noise(y, NoiseSpec(0.0, seed=5))

@@ -15,6 +15,7 @@ from gpgd.solver import (
     gpgd_run,
     trace_to_csv,
 )
+from gpgd.signals import psnr
 from gpgd.theory import ric_exact_ksparse, theorem1_bound
 
 GOLDEN = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)
@@ -44,7 +45,7 @@ def test_gamma_zero_is_pure_projection():
     A = DenseOperator(np.eye(4))
     y = np.array([2.0, 1.0, 0.0, 0.0])
     proj = ExactProjector(KSparse(1, 4))
-    cfg = GpgdConfig(gamma=0.0, max_iters=5, x0=y, record_full_iterates=True)
+    cfg = GpgdConfig(gamma=0.0, max_iters=5, x0=y)
     _, trace = gpgd_run(A, y, proj, cfg)
     # x_i = P(x_{i-1}); exact idempotent P makes it constant from i = 1
     expected = proj(y)
@@ -117,15 +118,49 @@ def test_default_x0_is_adjoint_of_y():
     rng = np.random.default_rng(5)
     A = DenseOperator(rng.standard_normal((4, 6)))
     y = rng.standard_normal(4)
-    cfg = GpgdConfig(gamma=0.01, max_iters=1, record_full_iterates=True)
+    cfg = GpgdConfig(gamma=0.01, max_iters=1)
     _, trace = gpgd_run(A, y, lambda z: z, cfg)
     assert np.array_equal(trace.iterates[0], A.adjoint(y))
+
+
+def test_trace_records_match_per_iterate_recomputation():
+    # every record derived from the iterate stack equals, bit for bit, the
+    # per-iterate formula; x0 = x_true makes row 0 an exact fit (PSNR inf)
+    A, rng = conditioned_square(seed=9)
+    x_true = np.zeros(32)
+    x_true[[4, 11]] = rng.standard_normal(2)
+    y = A.apply(x_true) + 0.05 * rng.standard_normal(32)
+    proj = ExactProjector(KSparse(2, 32))
+    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=30, x0=x_true)
+    x, trace = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
+    its = trace.iterates
+    assert its.shape == (31, 32) and len(trace) == 31
+    assert np.array_equal(x, its[-1]) and not np.shares_memory(x, its)
+    err = np.array([np.linalg.norm(xi - x_true) for xi in its])
+    db = [psnr(xi, x_true) for xi in its]
+    assert db[0] == math.inf and all(math.isfinite(v) for v in db[1:])
+    assert np.array_equal(trace.err, err)
+    assert np.array_equal(trace.rel_err, err / np.linalg.norm(x_true))
+    assert trace.psnr_db.tolist() == db
+    assert np.array_equal(
+        trace.residual, [np.linalg.norm(A.apply(xi) - y) for xi in its]
+    )
+    assert np.array_equal(
+        trace.proj_err, [np.linalg.norm(proj(xi) - x_true) for xi in its[:-1]]
+    )
+    assert trace.best_index == int(np.argmax(db))
+    x_star = its[trace.best_index + 5]
+    ref_norm = np.linalg.norm(x_star)
+    for threshold in (0.5, 0.05, 1e-3):
+        expected = next((i for i, xi in enumerate(its)
+                         if np.linalg.norm(xi - x_star) / ref_norm <= threshold), None)
+        assert convergence_iteration(trace, x_star, threshold) == expected
 
 
 def _trace_with_rel_errors(x_star, rels):
     # iterates at prescribed relative distances from x_star
     direction = np.ones_like(x_star) / np.sqrt(x_star.size)
-    its = [x_star + r * np.linalg.norm(x_star) * direction for r in rels]
+    its = np.array([x_star + r * np.linalg.norm(x_star) * direction for r in rels])
     return GpgdTrace(gamma=1.0, residual=np.zeros(len(its)), iterates=its)
 
 
@@ -145,14 +180,8 @@ def test_convergence_iteration_rejects_zero_reference():
         convergence_iteration(t, np.zeros(2), 0.01)
 
 
-def test_convergence_iteration_needs_full_iterates():
-    t = GpgdTrace(gamma=1.0, residual=np.zeros(3))
-    with pytest.raises(ValueError):
-        convergence_iteration(t, np.ones(2), 0.01)
-
-
 def test_best_iterate_examples():
-    its = [np.zeros(2), np.ones(2), np.full(2, 2.0)]
+    its = np.array([np.zeros(2), np.ones(2), np.full(2, 2.0)])
     t = GpgdTrace(gamma=1.0, residual=np.zeros(3), iterates=its,
                   psnr_db=np.array([10.0, 30.0, 20.0]))
     idx, x = best_iterate(t)
@@ -160,13 +189,13 @@ def test_best_iterate_examples():
     t_tie = GpgdTrace(gamma=1.0, residual=np.zeros(3), iterates=its,
                       psnr_db=np.array([15.0, 15.0, 15.0]))
     assert best_iterate(t_tie)[0] == 0
-    t_single = GpgdTrace(gamma=1.0, residual=np.zeros(1), iterates=[np.zeros(2)],
+    t_single = GpgdTrace(gamma=1.0, residual=np.zeros(1), iterates=np.zeros((1, 2)),
                          psnr_db=np.array([12.0]))
     assert best_iterate(t_single)[0] == 0
 
 
 def test_best_iterate_empty_trace():
-    t = GpgdTrace(gamma=1.0, residual=np.zeros(0), iterates=[])
+    t = GpgdTrace(gamma=1.0, residual=np.zeros(0), iterates=np.zeros((0, 2)))
     with pytest.raises(ValueError):
         best_iterate(t)
 
@@ -196,15 +225,13 @@ def test_determinism_bitwise():
     x_true = np.zeros(32)
     x_true[[2, 12]] = rng.standard_normal(2)
     y = A.apply(x_true) + 0.01 * rng.standard_normal(32)
-    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=40,
-                     record_full_iterates=True)
+    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=40)
     proj = ExactProjector(KSparse(2, 32))
     _, t1 = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
     _, t2 = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
     assert np.array_equal(t1.residual, t2.residual)
     assert np.array_equal(t1.err, t2.err)
-    for a, b in zip(t1.iterates, t2.iterates):
-        assert np.array_equal(a, b)
+    assert np.array_equal(t1.iterates, t2.iterates)
 
 
 def test_trace_csv(tmp_path):
@@ -228,10 +255,3 @@ def test_early_stop_off_by_default_runs_full_budget():
     _, trace = gpgd_run(A, np.array([1.0, 0.0, 0.0, 0.0]), proj, cfg)
     assert len(trace) == 26  # initial point plus 25 updates
 
-
-def test_early_stop_on_stagnation():
-    A = DenseOperator(np.eye(4))
-    proj = ExactProjector(KSparse(1, 4))
-    cfg = GpgdConfig(gamma=1.0, max_iters=100, early_stop_rel_change=1e-12)
-    _, trace = gpgd_run(A, np.array([1.0, 0.0, 0.0, 0.0]), proj, cfg)
-    assert len(trace) < 101

@@ -299,13 +299,6 @@ def test_report_lprime_matches_recomputation():
         assert (max_phi > 0.1) == (u > 0.0)
 
 
-def test_report_json_and_csv():
-    lines = random_lines(3, 5, seed=17)
-    rep = orthogonality_report(lines, ExactProjector(lines), 100, seed=11)
-    assert '"samples": 100' in rep.to_json()
-    assert rep.to_csv_row().count(",") == rep.csv_header().count(",")
-
-
 # --- theorem bounds ----------------------------------------------------------
 
 
