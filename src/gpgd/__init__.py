@@ -34,4 +34,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -327,14 +327,20 @@ def train_priors(cfg: ExperimentConfig, ds: Dataset):
     the prior's train key. Before any prior is trained or loaded, every
     existing checkpoint's key is checked, and a missing or different key
     (or two lambdas that share a file name but not a key) raises
-    ConfigError rather than reusing a file made for another config. Priors
+    ConfigError rather than reusing a file made for another config; so
+    does a net_dims input width that differs from the dataset width. Priors
     are made as the caller iterates, so a caller that drops each network
     holds one at a time.
     """
     _, train_items = _split_items(cfg, ds)
+    dims = cfg.net_dims if cfg.net_dims else autoencoder_dims(train_items.shape[1])
+    if dims[0] != train_items.shape[1]:
+        raise ConfigError(
+            f"net_dims {list(dims)} start at width {dims[0]}, but the dataset "
+            f"width is {train_items.shape[1]}"
+        )
     ckpt_dir = Path(cfg.out_dir) / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    dims = cfg.net_dims if cfg.net_dims else autoencoder_dims(train_items.shape[1])
     plan = []
     keys: dict[Path, tuple[float, str]] = {}
     for lam in cfg.lambdas:
@@ -406,9 +412,12 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> ExperimentResult:
-    """Full sweep: for each (lambda, seed, test item), build the operator,
-    form noisy measurements, run the solver with that lambda's prior, and
-    record best-iterate PSNR plus the convergence iteration.
+    """Full sweep: for each seed, build the operator and form noisy
+    measurements of every test item; for each lambda, solve all items as
+    one batch with that lambda's prior, and record each item's
+    best-iterate PSNR and convergence iteration. Rows come out ordered by
+    seed, then item, then lambda; timing.json holds one wall time per
+    batch solve, keyed lam{lam:g}_seed{seed}.
 
     For problem "sparse" the prior is the exact hard-thresholding
     projection for every lambda (learned priors do not apply there).
@@ -416,7 +425,7 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = load_config_dataset(cfg)
-    test_items, _ = _split_items(cfg, ds)
+    test_items = _split_items(cfg, ds)[0].copy()
     chash = config_hash(cfg)
 
     if cfg.problem == "sparse":
@@ -425,44 +434,33 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
         }
     else:
         projectors = {lam: NetProjector(net) for lam, net in train_priors(cfg, ds)}
+    operators = [(seed, _build_operator(cfg, ds, seed)) for seed in cfg.seeds]
+    del ds  # freed before the batches' iterate stacks are allocated
 
     rows: list[RunRow] = []
     timings = {}
-    traces_dir = out / "traces"
+    traces_dir = out / "traces" if write_traces else None
     if write_traces:
         traces_dir.mkdir(exist_ok=True)
-    for seed in cfg.seeds:
-        A = _build_operator(cfg, ds, seed)
+    for seed, A in operators:
         gamma = cfg.gpgd_gamma if cfg.gpgd_gamma is not None else default_step_size(A)
-        for item_idx in range(cfg.test_count):
-            x_true = test_items[item_idx]
-            y_clean = A.apply(x_true)
-            y = add_noise(y_clean, NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item_idx)))
+        y_clean = A.apply(test_items)
+        Y = np.stack([
+            add_noise(y_clean[item], NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item)))
+            for item in range(cfg.test_count)
+        ])
+        run_cfg = GpgdConfig(gamma=gamma, max_iters=cfg.gpgd_max_iters)
+        cells = {}
+        for lam in cfg.lambdas:
+            name = f"lam{lam:g}_seed{seed}"
+            timings[name], cells[lam] = _solve_batch(
+                A, Y, projectors[lam], run_cfg, test_items, cfg.conv_threshold,
+                traces_dir, name)
+        for item in range(cfg.test_count):
             for lam in cfg.lambdas:
-                started = time.perf_counter()
-                run_cfg = GpgdConfig(gamma=gamma, max_iters=cfg.gpgd_max_iters)
-                _, trace = gpgd_run(A, y, projectors[lam], run_cfg, ground_truth=x_true)
-                idx, x_star = best_iterate(trace)
-                conv = convergence_iteration(trace, x_star, cfg.conv_threshold)
-                rows.append(
-                    RunRow(
-                        lam=lam,
-                        seed=seed,
-                        item=item_idx,
-                        psnr_best=float(trace.psnr_db[idx]),
-                        best_index=idx,
-                        conv_iter=conv,
-                        cfg_hash=chash,
-                    )
-                )
-                timings[f"lam{lam:g}_seed{seed}_item{item_idx}"] = (
-                    time.perf_counter() - started
-                )
-                if write_traces:
-                    trace_to_csv(
-                        trace,
-                        traces_dir / f"trace_lam{lam:g}_seed{seed}_item{item_idx}.csv",
-                    )
+                idx, psnr_best, conv = cells[lam][item]
+                rows.append(RunRow(lam=lam, seed=seed, item=item, psnr_best=psnr_best,
+                                   best_index=idx, conv_iter=conv, cfg_hash=chash))
 
     summary = _summarize(
         [(r.lam, r.psnr_best, math.inf if r.conv_iter is None else r.conv_iter)
@@ -474,6 +472,26 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
     with open(out / "timing.json", "w", encoding="ascii") as fh:
         json.dump(timings, fh, indent=1, sort_keys=True)
     return ExperimentResult(rows=rows, summary=summary, cfg_hash=chash)
+
+
+def _solve_batch(A, Y, P, run_cfg: GpgdConfig, truth, conv_threshold: float,
+                 traces_dir: Path | None, name: str) -> tuple[float, list[tuple]]:
+    """Solve the rows of Y as one batch: the solve's wall time, and (best
+    index, best PSNR, convergence iteration) per row; one trace CSV per row
+    when traces_dir is set. The iterate stack dies on return, so the
+    caller's next batch never holds two."""
+    started = time.perf_counter()
+    _, trace = gpgd_run(A, Y, P, run_cfg, ground_truth=truth)
+    seconds = time.perf_counter() - started
+    cells = []
+    for item in range(len(Y)):
+        one = trace.row(item)
+        idx, x_star = best_iterate(one)
+        cells.append((idx, float(one.psnr_db[idx]),
+                      convergence_iteration(one, x_star, conv_threshold)))
+        if traces_dir is not None:
+            trace_to_csv(one, traces_dir / f"trace_{name}_item{item}.csv")
+    return seconds, cells
 
 
 def _summarize(cells, lambdas) -> list[dict]:

@@ -3,7 +3,8 @@
 Supported sets: k-sparse vectors, finite unions of subspaces given by
 orthonormal bases, and unions of lines (unit directions through the
 origin). All are homogeneous and proximinal by construction. Projections
-break ties by lowest index so results are reproducible.
+break ties by lowest index so results are reproducible, and take one
+vector (n,) or a stack (b, n) of vectors, one per row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import as_vector
+from .signals import as_rows, as_vector
 
 __all__ = [
     "ModelSetError",
@@ -78,21 +79,25 @@ class UnionOfLines:
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ModelSetError("directions must have unit norm (1e-12)")
         self.directions = dirs
+        self._directions_t = dirs.T  # made once, not per projection
         self.n = dirs.shape[1]
 
 
 def hard_threshold(z, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries, zero the rest.
+    """Keep the k largest-magnitude entries of each row, zero the rest.
 
     This is the orthogonal projection onto the k-sparse set; magnitude ties
     are broken by lowest index.
     """
-    vec = as_vector(z)
-    if not 1 <= k <= vec.size:
-        raise ModelSetError(f"need 1 <= k <= {vec.size}, got k={k}")
+    vec = as_rows(z)
+    if not 1 <= k <= vec.shape[-1]:
+        raise ModelSetError(f"need 1 <= k <= {vec.shape[-1]}, got k={k}")
     order = np.argsort(-np.abs(vec), kind="stable")
+    if vec.ndim == 2:
+        keep = (np.arange(len(vec))[:, None], order[:, :k])
+    else:
+        keep = order[:k]
     out = np.zeros_like(vec)
-    keep = order[:k]
     out[keep] = vec[keep]
     return out
 
@@ -100,19 +105,24 @@ def hard_threshold(z, k: int) -> np.ndarray:
 def project_union(z, model) -> np.ndarray:
     """Orthogonal projection onto a union of subspaces or lines.
 
-    Picks the component maximizing the projected norm (equivalently,
-    minimizing the residual); ties go to the lowest index.
+    Picks, per row, the component maximizing the projected norm
+    (equivalently, minimizing the residual); ties go to the lowest index.
     """
-    vec = as_vector(z)
+    vec = as_rows(z)
     if isinstance(model, UnionOfLines):
-        coeffs = model.directions @ vec
-        best = int(np.argmax(np.abs(coeffs)))
+        coeffs = vec @ model._directions_t
+        best = np.argmax(np.abs(coeffs), axis=-1)
+        if vec.ndim == 2:
+            return coeffs[np.arange(len(vec)), best][:, None] * model.directions[best]
         return coeffs[best] * model.directions[best]
     if isinstance(model, UnionOfSubspaces):
-        scores = [float(np.linalg.norm(b.T @ vec)) for b in model.bases]
-        best = int(np.argmax(scores))
-        b = model.bases[best]
-        return b @ (b.T @ vec)
+        rows = vec.reshape(-1, model.n)
+        coeffs = [rows @ b for b in model.bases]
+        best = np.argmax(np.stack([np.sqrt(np.vecdot(c, c)) for c in coeffs]), axis=0)
+        out = np.empty_like(rows)
+        for r, j in enumerate(best.tolist()):
+            out[r] = model.bases[j] @ coeffs[j][r]
+        return out.reshape(vec.shape)
     raise ModelSetError(f"project_union does not support {type(model).__name__}")
 
 
@@ -176,6 +186,8 @@ class PerturbedProjector:
     generator, so the map is sequence-reproducible rather than pointwise
     deterministic). Outputs always lie in the model set, and points already
     in the set are returned via the exact projection (P(z) = z on the set).
+    It takes one vector per call, never a stack, because its draws are
+    made in call order.
     """
 
     def __init__(self, model: UnionOfLines, t: float, u: float, seed: int,
@@ -193,7 +205,12 @@ class PerturbedProjector:
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, z) -> np.ndarray:
-        vec = as_vector(z)
+        vec = as_rows(z)
+        if vec.ndim != 1:
+            raise ModelSetError(
+                "PerturbedProjector takes one vector per call: its random "
+                "draws follow the call order"
+            )
         coeffs = self.model.directions @ vec
         abs_c = np.abs(coeffs)
         best = int(np.argmax(abs_c))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signals import as_vector
+from .signals import as_rows
 from .theory import psi_rows
 
 __all__ = [
@@ -216,7 +216,8 @@ class DenseNet:
 
 
 class NetProjector:
-    """Use a trained network as the projection inside the solver."""
+    """Use a trained network as the projection inside the solver; like
+    forward, it takes one vector or a stack of vectors, one per row."""
 
     def __init__(self, net: DenseNet):
         self.net = net
@@ -255,11 +256,15 @@ def make_net(dims, seed: int, slope: float = 0.01,
 
 
 def forward(net: DenseNet, x) -> np.ndarray:
-    vec = as_vector(x)
-    if vec.size != net.n:
-        raise ValueError(f"input length {vec.size}, net expects {net.n}")
-    out = forward_batch(net, vec.reshape(1, -1))[0]
-    return out[0]
+    """Network output for one input (n,) or a stack (b, n), one per row.
+
+    A stack goes through as one batched matmul per layer, so its rows may
+    differ from one-row outputs in the last bits."""
+    arr = as_rows(x)
+    if arr.shape[-1] != net.n:
+        raise ValueError(f"input length {arr.shape[-1]}, net expects {net.n}")
+    out = forward_batch(net, arr.reshape(-1, net.n))[0]
+    return out.reshape(arr.shape)
 
 
 def forward_batch(net: DenseNet, X: np.ndarray):

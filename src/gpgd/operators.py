@@ -1,16 +1,20 @@
 """Linear measurement operators with exact adjoints.
 
-Every operator maps length-n vectors to length-m vectors and satisfies the
-adjoint identity <A u, v> = <u, A^T v> exactly up to floating point. All
-operators materialize to a dense (m, n) matrix for oracle checks; none of
-them use FFTs (desk-scale sizes only).
+Every operator maps length-n signals to length-m signals along the last
+axis: apply takes one signal (n,) or a stack (b, n), one signal per row,
+and adjoint likewise takes (m,) or (b, m). Each operator satisfies the
+adjoint identity <A u, v> = <u, A^T v> exactly up to floating point. The
+pixel-mask and blur operators do the same arithmetic on every row of a
+stack as on one signal, so a stack's rows equal the one-signal results bit
+for bit. All operators materialize to a dense (m, n) matrix for oracle
+checks; none of them use FFTs (desk-scale sizes only).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signals import as_vector
+from .signals import as_rows
 
 __all__ = [
     "DimensionMismatch",
@@ -33,7 +37,7 @@ class OperatorError(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Operator applied to a vector of the wrong length."""
+    """Operator applied to a signal of the wrong length."""
 
     def __init__(self, op_name: str, expected: int, got: int):
         super().__init__(f"{op_name}: expected length {expected}, got {got}")
@@ -42,22 +46,24 @@ class DimensionMismatch(ValueError):
 
 
 class LinearOperator:
-    """Base class: subclasses set (m, n) and implement _apply/_adjoint."""
+    """Base class: subclasses set (m, n) and implement _apply/_adjoint on
+    signals along the last axis of a 1-D or 2-D array."""
 
     m: int
     n: int
 
     def apply(self, x) -> np.ndarray:
-        vec = as_vector(x)
-        if vec.size != self.n:
-            raise DimensionMismatch(type(self).__name__, self.n, vec.size)
-        return self._apply(vec)
+        arr = as_rows(x)
+        if arr.shape[-1] != self.n:
+            raise DimensionMismatch(type(self).__name__, self.n, arr.shape[-1])
+        return self._apply(arr)
 
     def adjoint(self, y) -> np.ndarray:
-        vec = as_vector(y)
-        if vec.size != self.m:
-            raise DimensionMismatch(type(self).__name__ + ".adjoint", self.m, vec.size)
-        return self._adjoint(vec)
+        arr = as_rows(y)
+        if arr.shape[-1] != self.m:
+            raise DimensionMismatch(type(self).__name__ + ".adjoint", self.m,
+                                    arr.shape[-1])
+        return self._adjoint(arr)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -66,14 +72,8 @@ class LinearOperator:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        """Materialize as an (m, n) matrix by applying to basis vectors."""
-        cols = np.empty((self.m, self.n))
-        e = np.zeros(self.n)
-        for j in range(self.n):
-            e[j] = 1.0
-            cols[:, j] = self._apply(e)
-            e[j] = 0.0
-        return cols
+        """Materialize as an (m, n) matrix: row j of _apply(I) is A e_j."""
+        return np.ascontiguousarray(self._apply(np.eye(self.n)).T)
 
 
 def materialize(op) -> np.ndarray:
@@ -84,20 +84,22 @@ def materialize(op) -> np.ndarray:
 
 
 class DenseOperator(LinearOperator):
-    """Explicit m-by-n matrix."""
+    """Explicit m-by-n matrix M: signals go through as x @ M.T and y @ M,
+    which for one signal equal M @ x and M.T @ y bit for bit."""
 
     def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise OperatorError("dense operator needs a 2-D matrix")
         self.matrix = mat
+        self._matrix_t = mat.T  # made once, not per call
         self.m, self.n = mat.shape
 
     def _apply(self, x):
-        return self.matrix @ x
+        return x @ self._matrix_t
 
     def _adjoint(self, y):
-        return self.matrix.T @ y
+        return y @ self.matrix
 
     def to_dense(self):
         return self.matrix.copy()
@@ -119,25 +121,22 @@ class PixelMask(LinearOperator):
         self.n = n
 
     def _apply(self, x):
-        return x[self.kept]
+        return x[..., self.kept]
 
     def _adjoint(self, y):
-        out = np.zeros(self.n)
-        out[self.kept] = y
+        out = np.zeros(y.shape[:-1] + (self.n,))
+        out[..., self.kept] = y
         return out
-
-    def to_dense(self):
-        mat = np.zeros((self.m, self.n))
-        mat[np.arange(self.m), self.kept] = 1.0
-        return mat
 
 
 class Blur(LinearOperator):
     """2-D correlation with a kernel under symmetric (mirror) padding.
 
     Gaussian kernels are flip-symmetric, so correlation and convolution
-    coincide for them. The adjoint scatter-adds each padded contribution
-    back to its mirror-source pixel, which is the exact transpose of the
+    coincide for them. A stack of signals is blurred as one (b, h, w)
+    stack of images. The adjoint scatter-adds each padded contribution
+    back to its mirror-source pixel (one bincount over the stack, with
+    row r's indices offset by r * n), which is the exact transpose of the
     padded correlation.
     """
 
@@ -163,24 +162,25 @@ class Blur(LinearOperator):
     def _apply(self, x):
         h, w = self.shape2d
         k = self.kernel.shape[0]
-        padded = x[self._pad_index]
-        out = np.zeros((h, w))
+        padded = x[..., self._pad_index]
+        out = np.zeros(x.shape[:-1] + (h, w))
         for a in range(k):
             for b in range(k):
-                out += self.kernel[a, b] * padded[a : a + h, b : b + w]
-        return out.reshape(-1)
+                out += self.kernel[a, b] * padded[..., a : a + h, b : b + w]
+        return out.reshape(x.shape)
 
     def _adjoint(self, y):
         h, w = self.shape2d
         k = self.kernel.shape[0]
-        acc = np.zeros((h + 2 * self.pad, w + 2 * self.pad))
-        y_img = y.reshape(h, w)
+        rows = y.reshape(-1, h, w)
+        acc = np.zeros((rows.shape[0], h + 2 * self.pad, w + 2 * self.pad))
         for a in range(k):
             for b in range(k):
-                acc[a : a + h, b : b + w] += self.kernel[a, b] * y_img
-        return np.bincount(
-            self._pad_index.ravel(), weights=acc.ravel(), minlength=self.n
-        )
+                acc[:, a : a + h, b : b + w] += self.kernel[a, b] * rows
+        index = self._pad_index + self.n * np.arange(rows.shape[0])[:, None, None]
+        flat = np.bincount(index.ravel(), weights=acc.ravel(),
+                           minlength=rows.shape[0] * self.n)
+        return flat.reshape(y.shape)
 
 
 class Composition(LinearOperator):

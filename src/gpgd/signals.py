@@ -2,8 +2,9 @@
 
 Signals are 1-D float64 vectors; images carry an optional (height, width)
 shape and are expected in [0, 1] after explicit clamping only (raw solver
-iterates may leave that range). psnr also scores a 2-D stack of signals,
-one per row, against one reference in a single call.
+iterates may leave that range). A 2-D array is a stack of signals, one per
+row: operators, projectors and the solver take one through `as_rows`, and
+psnr scores one against one reference in a single call.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "SignalError",
     "NoiseSpec",
     "as_vector",
+    "as_rows",
     "add_noise",
     "psnr",
     "signal_to_csv",
@@ -44,6 +46,21 @@ def as_vector(x) -> np.ndarray:
     if vec.ndim != 1:
         vec = vec.reshape(-1)
     return vec
+
+
+def as_rows(x) -> np.ndarray:
+    """Coerce a Signal or array-like to float64 signals on the last axis:
+    one signal (n,) or a stack of signals (b, n), one per row. Unlike
+    as_vector, a 2-D input is kept as a stack; more axes are an error."""
+    if isinstance(x, Signal):
+        return x.data
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 1 or arr.ndim == 2:
+        return arr
+    if arr.ndim == 0:
+        return arr.reshape(1)
+    raise SignalError(f"expected a signal or a 2-D stack of signals, got shape "
+                      f"{arr.shape}")
 
 
 @dataclass(frozen=True)

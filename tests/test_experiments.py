@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -157,7 +158,10 @@ def test_run_experiment_rows_and_files(tmp_path):
     out = Path(cfg.out_dir)
     assert (out / "results.csv").exists()
     assert (out / "summary.csv").exists()
-    assert (out / "timing.json").exists()
+    timings = json.loads((out / "timing.json").read_text())
+    assert sorted(timings) == sorted(f"lam{lam:g}_seed{seed}" for lam in cfg.lambdas
+                                     for seed in cfg.seeds)
+    assert len(list((out / "traces").iterdir())) == len(result.rows)
     assert (out / "checkpoints" / "prior_lam0.ckpt").exists()
     assert (out / "checkpoints" / "prior_lam0.4.ckpt").exists()
     header = (out / "results.csv").read_text().splitlines()[0]
@@ -167,7 +171,8 @@ def test_run_experiment_rows_and_files(tmp_path):
 
 
 def test_run_experiment_matches_manual_run(tmp_path):
-    # plumbing equivalence: one cell recomputed by hand from the same seeds
+    # plumbing equivalence: one cell recomputed by hand from the same seeds,
+    # as a row of the same batch of test items that the sweep solves
     cfg = small_config(tmp_path)
     result = run_experiment(cfg)
     ds = load_config_dataset(cfg)
@@ -176,10 +181,12 @@ def test_run_experiment_matches_manual_run(tmp_path):
     from gpgd.experiments import _derive_seed
 
     A = make_inpainting_operator(ds.n, cfg.ratio, _derive_seed(seed, 1))
-    x_true = ds.items[item]
-    y = add_noise(A.apply(x_true), NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item)))
+    x_true = ds.items[: cfg.test_count]
+    y = np.stack([add_noise(A.apply(x), NoiseSpec(cfg.sigma, _derive_seed(seed, 2, i)))
+                  for i, x in enumerate(x_true)])
     run_cfg = GpgdConfig(gamma=default_step_size(A), max_iters=cfg.gpgd_max_iters)
-    _, trace = gpgd_run(A, y, NetProjector(net), run_cfg, ground_truth=x_true)
+    _, batch = gpgd_run(A, y, NetProjector(net), run_cfg, ground_truth=x_true)
+    trace = batch.row(item)
     idx, x_star = best_iterate(trace)
     conv = convergence_iteration(trace, x_star, cfg.conv_threshold)
     row = next(r for r in result.rows if r.lam == 0.4 and r.seed == 0 and r.item == 2)
@@ -246,6 +253,26 @@ def test_lambdas_sharing_a_checkpoint_name_are_refused(tmp_path):
     with pytest.raises(ConfigError, match="share"):
         next(train_priors(cfg, load_config_dataset(cfg)))
     assert not any((Path(cfg.out_dir) / "checkpoints").iterdir())
+
+
+def test_net_width_differing_from_dataset_is_refused_before_training(tmp_path):
+    cfg = small_config(tmp_path, net_dims=(32, 16, 32))
+    ds = load_config_dataset(cfg)
+    with pytest.raises(ConfigError, match="width"):
+        next(train_priors(cfg, ds))
+    with pytest.raises(ConfigError, match="width"):
+        run_experiment(cfg)
+    assert not (Path(cfg.out_dir) / "checkpoints").exists()
+
+
+def test_run_experiment_rows_keep_seed_item_lambda_order(tmp_path):
+    cfg = small_config(tmp_path, seeds=(0, 1), train_epochs=2)
+    result = run_experiment(cfg, write_traces=False)
+    assert [(r.seed, r.item, r.lam) for r in result.rows] == [
+        (seed, item, lam) for seed in cfg.seeds for item in range(cfg.test_count)
+        for lam in cfg.lambdas
+    ]
+    assert not (Path(cfg.out_dir) / "traces").exists()
 
 
 def test_run_experiment_needs_enough_items(tmp_path):

@@ -243,3 +243,66 @@ def test_model_json_roundtrip():
 def test_model_json_unknown_kind():
     with pytest.raises(ModelSetError):
         model_from_json('{"kind": "mystery"}')
+
+
+# --- stacks of vectors, one per row --------------------------------------------
+
+
+def test_hard_threshold_stack_breaks_ties_by_lowest_index_in_every_row():
+    Z = np.array([
+        [2.0, -2.0, 2.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0],    # all equal: keep the first k
+        [-3.0, -3.0, -3.0, -3.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.5, -4.0, 4.0, 0.5],
+        [1.0, -1.0, 1.0, -1.0],
+    ])
+    for k in (1, 2, 3, 4):
+        out = hard_threshold(Z, k)
+        assert out.shape == Z.shape
+        assert np.array_equal(out, np.stack([hard_threshold(z, k) for z in Z]))
+    out = hard_threshold(Z, 2)
+    assert np.array_equal(out[1], [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(out[2], [-3.0, -3.0, 0.0, 0.0])
+    assert np.array_equal(out[4], [0.0, -4.0, 4.0, 0.0])
+    assert np.array_equal(out[5], [1.0, -1.0, 0.0, 0.0])
+
+
+def test_hard_threshold_stack_matches_rows_random():
+    # few distinct magnitudes in wide rows make ties common; the oracle
+    # keeps the k largest magnitudes, lowest index first among equals
+    rng = np.random.default_rng(60)
+    for n in (9, 64):
+        Z = rng.integers(-3, 4, size=(30, n)).astype(float)
+        for k in (1, 3, n - 1):
+            out = hard_threshold(Z, k)
+            assert np.array_equal(out, np.stack([hard_threshold(z, k) for z in Z]))
+            for z, row in zip(Z, out):
+                keep = sorted(range(n), key=lambda j: (-abs(z[j]), j))[:k]
+                expected = np.zeros(n)
+                expected[keep] = z[keep]
+                assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("model", [
+    random_lines(6, 10, seed=61),
+    UnionOfLines([[1.0, 0.0], [0.0, 1.0]]),
+    UnionOfSubspaces([np.linalg.qr(np.random.default_rng(62).standard_normal((7, d)))[0]
+                      for d in (1, 2, 3)]),
+    KSparse(3, 10),
+])
+def test_exact_projector_stack_matches_rows(model):
+    rng = np.random.default_rng(63)
+    Z = rng.standard_normal((12, model.n))
+    proj = ExactProjector(model)
+    out = proj(Z)
+    rows = np.stack([proj(z) for z in Z])
+    assert out.shape == Z.shape
+    assert np.max(np.abs(out - rows)) <= 1e-12 * (1.0 + np.max(np.abs(rows)))
+
+
+def test_perturbed_projector_refuses_a_stack():
+    proj = PerturbedProjector(random_lines(3, 5, seed=64), t=0.1, u=0.5, seed=0)
+    with pytest.raises(ModelSetError, match="one vector per call"):
+        proj(np.ones((2, 5)))
+    assert proj(np.ones(5)).shape == (5,)

@@ -34,6 +34,27 @@ def identity_net(n):
 # --- forward ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("dims", [(64, 48, 24, 48, 64), (784, 392, 196, 392, 784)])
+def test_forward_stack_rows_match_one_row_forward(dims):
+    # a stack goes through one batched matmul per layer, which may round
+    # differently from a one-row matmul, but only in the last bits
+    net = make_net(dims, seed=3)
+    rng = np.random.default_rng(4)
+    Z = rng.uniform(0.0, 1.0, (20, dims[0]))
+    out = forward(net, Z)
+    assert out.shape == Z.shape
+    for z, row in zip(Z, out):
+        one = forward(net, z)
+        assert one.shape == (dims[0],)
+        assert np.max(np.abs(row - one)) <= 1e-12 * np.max(np.abs(one))
+    assert np.array_equal(forward(net, Z[:1])[0], forward(net, Z[0]))
+
+
+def test_forward_stack_width_mismatch():
+    with pytest.raises(ValueError):
+        forward(identity_net(3), np.zeros((2, 4)))
+
+
 def test_forward_identity_layer():
     net = identity_net(3)
     x = np.array([0.3, -0.2, 0.9])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gpgd.signals import SignalError
+
 from gpgd.operators import (
     Blur,
     Composition,
@@ -9,6 +11,7 @@ from gpgd.operators import (
     OperatorError,
     PixelMask,
     gaussian_blur_kernel,
+    materialize,
     make_inpainting_operator,
     make_subsample_operator,
     make_superres_operator,
@@ -252,3 +255,87 @@ def test_composition_dims_must_chain():
 def test_blur_kernel_too_large_rejected():
     with pytest.raises(OperatorError):
         Blur(gaussian_blur_kernel(7, 1.0), (2, 2))
+
+
+# --- stacks of signals, one per row -------------------------------------------
+
+
+def stackable_kinds():
+    """Operators that do the same arithmetic on each row of a stack as on
+    one signal: pixel masks, blurs and compositions of them."""
+    kernel = gaussian_blur_kernel(5, 1.1)
+    return [
+        PixelMask([0, 2, 5], n=7),
+        make_inpainting_operator(64, 0.6, seed=3),
+        Blur(kernel, (6, 7)),
+        Blur(gaussian_blur_kernel(3, 0.8), (4, 4)),
+        make_superres_operator((8, 8), 2, kernel),
+        Composition([make_inpainting_operator(36, 0.5, seed=4), Blur(kernel, (6, 6))]),
+    ]
+
+
+@pytest.mark.parametrize("op_index", range(6))
+def test_stack_rows_equal_one_signal_results(op_index):
+    op = stackable_kinds()[op_index]
+    rng = np.random.default_rng(400 + op_index)
+    for b in (1, 2, 5):
+        X = rng.standard_normal((b, op.n))
+        Y = rng.standard_normal((b, op.m))
+        AX, ATY = op.apply(X), op.adjoint(Y)
+        assert AX.shape == (b, op.m) and ATY.shape == (b, op.n)
+        assert np.array_equal(AX, np.stack([op.apply(x) for x in X]))
+        assert np.array_equal(ATY, np.stack([op.adjoint(y) for y in Y]))
+
+
+@pytest.mark.parametrize("op_index", range(6))
+def test_adjoint_identity_on_a_stack(op_index):
+    op = all_operator_kinds()[op_index]
+    rng = np.random.default_rng(500 + op_index)
+    U = rng.standard_normal((7, op.n))
+    V = rng.standard_normal((7, op.m))
+    lhs = np.vecdot(op.apply(U), V)
+    rhs = np.vecdot(U, op.adjoint(V))
+    assert np.all(np.abs(lhs - rhs) <= 1e-10 * (1.0 + np.abs(lhs)))
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (16, 32), (32, 32), (3, 1), (40, 17)])
+def test_dense_operator_one_vector_is_matvec(shape):
+    # the x @ M.T / y @ M forms equal 0.4.0's M @ x / M.T @ y bit for bit
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    mat = rng.standard_normal(shape)
+    op = DenseOperator(mat)
+    for _ in range(20):
+        x = rng.standard_normal(shape[1])
+        y = rng.standard_normal(shape[0])
+        assert np.array_equal(op.apply(x), mat @ x)
+        assert np.array_equal(op.adjoint(y), mat.T @ y)
+
+
+def _columnwise_dense(op):
+    """0.4.0's materialization: apply the operator to each basis vector."""
+    cols = np.empty((op.m, op.n))
+    e = np.zeros(op.n)
+    for j in range(op.n):
+        e[j] = 1.0
+        cols[:, j] = op.apply(e)
+        e[j] = 0.0
+    return cols
+
+
+@pytest.mark.parametrize("op_index", range(6))
+def test_materialize_equals_columnwise_construction(op_index):
+    op = all_operator_kinds()[op_index]
+    dense = materialize(op)
+    assert dense.shape == (op.m, op.n) and dense.flags.c_contiguous
+    assert np.array_equal(dense, _columnwise_dense(op))
+
+
+def test_stack_width_mismatch_and_bad_rank():
+    op = PixelMask([0, 2], n=3)
+    with pytest.raises(DimensionMismatch) as exc:
+        op.apply(np.zeros((4, 2)))
+    assert exc.value.expected == 3 and exc.value.got == 2
+    with pytest.raises(DimensionMismatch):
+        op.adjoint(np.zeros((4, 3)))
+    with pytest.raises(SignalError):
+        op.apply(np.zeros((2, 2, 3)))

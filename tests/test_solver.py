@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gpgd.models import ExactProjector, KSparse
-from gpgd.operators import DenseOperator
+from gpgd.models import ExactProjector, KSparse, sample_member
+from gpgd.operators import (
+    Blur,
+    DenseOperator,
+    PixelMask,
+    gaussian_blur_kernel,
+    make_inpainting_operator,
+    make_superres_operator,
+)
 from gpgd.solver import (
     GpgdConfig,
     GpgdTrace,
@@ -255,3 +262,98 @@ def test_early_stop_off_by_default_runs_full_budget():
     _, trace = gpgd_run(A, np.array([1.0, 0.0, 0.0, 0.0]), proj, cfg)
     assert len(trace) == 26  # initial point plus 25 updates
 
+
+# --- stacks of measurements, one per row ----------------------------------------
+
+
+def _stack_problem(A, b, k, seed):
+    rng = np.random.default_rng(seed)
+    X_true = np.stack([sample_member(KSparse(k, A.n), rng) for _ in range(b)])
+    Y = A.apply(X_true) + 0.01 * rng.standard_normal((b, A.m))
+    return X_true, Y
+
+
+@pytest.mark.parametrize("A", [
+    make_inpainting_operator(36, 0.4, seed=5),
+    Blur(gaussian_blur_kernel(3, 0.9), (6, 6)),
+    make_superres_operator((6, 6), 2, gaussian_blur_kernel(3, 0.9)),
+], ids=["mask", "blur", "blur+subsample"])
+def test_stack_run_equals_one_row_runs(A):
+    X_true, Y = _stack_problem(A, 5, 3, seed=10)
+    proj = ExactProjector(KSparse(3, A.n))
+    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=40)
+    x, trace = gpgd_run(A, Y, proj, cfg, ground_truth=X_true)
+    assert x.shape == (5, A.n) and len(trace) == 41
+    assert len(trace.iterates) == 5
+    assert all(stack.shape == (41, A.n) for stack in trace.iterates)
+    assert not any(np.shares_memory(x, stack) for stack in trace.iterates)
+    assert trace.best_index.shape == (5,)
+    for r in range(5):
+        x_r, one = gpgd_run(A, Y[r], proj, cfg, ground_truth=X_true[r])
+        row = trace.row(r)
+        assert np.array_equal(x[r], x_r)
+        for name in ("iterates", "residual", "err", "rel_err", "psnr_db", "proj_err"):
+            assert np.array_equal(getattr(row, name), getattr(one, name)), name
+        assert row.best_index == one.best_index == trace.best_index[r]
+        _, x_star = best_iterate(row)
+        assert np.array_equal(x_star, best_iterate(one)[1])
+        for threshold in (0.5, 0.01, 1e-4):
+            assert convergence_iteration(row, x_star, threshold) == \
+                convergence_iteration(one, x_star, threshold)
+
+
+def test_stack_run_shares_one_vector_ground_truth_and_x0():
+    A = make_inpainting_operator(16, 0.5, seed=6)
+    x_true = np.zeros(16)
+    x_true[[2, 9]] = [1.0, -0.5]
+    Y = np.stack([A.apply(x_true), A.apply(x_true) + 0.1])
+    proj = ExactProjector(KSparse(2, 16))
+    cfg = GpgdConfig(gamma=1.0, max_iters=5, x0=np.full(16, 0.25))
+    _, trace = gpgd_run(A, Y, proj, cfg, ground_truth=x_true)
+    for r in range(2):
+        _, one = gpgd_run(A, Y[r], proj, cfg, ground_truth=x_true)
+        assert np.array_equal(trace.row(r).iterates, one.iterates)
+        assert np.array_equal(trace.row(r).psnr_db, one.psnr_db)
+
+
+def test_one_row_helpers_refuse_a_stack_trace(tmp_path):
+    A = PixelMask(range(4), n=4)
+    _, trace = gpgd_run(A, np.ones((2, 4)), ExactProjector(KSparse(1, 4)),
+                        GpgdConfig(gamma=0.5, max_iters=3), ground_truth=np.ones(4))
+    with pytest.raises(ValueError, match="row"):
+        best_iterate(trace)
+    with pytest.raises(ValueError, match="row"):
+        convergence_iteration(trace, np.ones(4), 0.01)
+    with pytest.raises(ValueError, match="row"):
+        trace_to_csv(trace, tmp_path / "t.csv")
+    trace_to_csv(trace.row(1), tmp_path / "t.csv")
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == len(trace) + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_the_first_bad_row():
+    # the projector overflows the first two entries of row 1 only; the
+    # batch stops where the one-row run on row 1 stops, with the same norm
+    # of the finite entries, and names row 1
+    A = PixelMask(range(4), n=4)
+
+    def blow_up(z):
+        out = z.copy()
+        out[..., :2] *= 1e160
+        return out
+
+    def blow_up_row_1(Z):
+        out = Z.copy()
+        out[1] = blow_up(Z[1])
+        return out
+
+    cfg = GpgdConfig(gamma=0.5, max_iters=10, x0=np.ones(4))
+    with pytest.raises(SolverDivergence) as one:
+        gpgd_run(A, np.zeros(4), blow_up, cfg)
+    assert one.value.row is None
+    with pytest.raises(SolverDivergence) as batch:
+        gpgd_run(A, np.zeros((3, 4)), blow_up_row_1, cfg)
+    assert batch.value.row == 1
+    assert batch.value.iteration == one.value.iteration == 2
+    assert batch.value.norm == one.value.norm == np.linalg.norm([0.25, 0.25])
+    assert "row 1" in str(batch.value)
