@@ -133,8 +133,8 @@ class Blur(LinearOperator):
     """2-D correlation with a kernel under symmetric (mirror) padding.
 
     Gaussian kernels are flip-symmetric, so correlation and convolution
-    coincide for them. A stack of signals is blurred as one (b, h, w)
-    stack of images. The adjoint scatter-adds each padded contribution
+    coincide for them. A stack of b signals is blurred as one (h, w, b)
+    block of images. The adjoint scatter-adds each padded contribution
     back to its mirror-source pixel (one bincount over the stack, with
     row r's indices offset by r * n), which is the exact transpose of the
     padded correlation.
@@ -162,12 +162,14 @@ class Blur(LinearOperator):
     def _apply(self, x):
         h, w = self.shape2d
         k = self.kernel.shape[0]
-        padded = x[..., self._pad_index]
-        out = np.zeros(x.shape[:-1] + (h, w))
+        # (h + 2 pad, w + 2 pad, b): batch innermost, so each slice-add runs
+        # over rows of w * b contiguous values; one signal is the b = 1 case.
+        padded = x.T[self._pad_index]
+        out = np.zeros((h, w) + padded.shape[2:])
         for a in range(k):
             for b in range(k):
-                out += self.kernel[a, b] * padded[..., a : a + h, b : b + w]
-        return out.reshape(x.shape)
+                out += self.kernel[a, b] * padded[a : a + h, b : b + w]
+        return np.ascontiguousarray(out.reshape(self.n, -1).T).reshape(x.shape)
 
     def _adjoint(self, y):
         h, w = self.shape2d

@@ -160,6 +160,94 @@ def test_ric_exact_combinatorial_guard():
         ric_exact_ksparse(np.eye(64), 1.0, 8, max_supports=1000)
 
 
+def _ric_full_enumeration(A, gamma, k):
+    """Reference: top eigenvalue of (M^2)[S, S] for every support S, by
+    eigvalsh, no pruning; returns the RIC the way the library does."""
+    n = A.shape[1]
+    M = np.eye(n) - gamma * (A.T @ A)
+    gram = M @ M
+    supports = np.array(list(itertools.combinations(range(n), min(2 * k, n))))
+    eigs = np.linalg.eigvalsh(gram[supports[:, :, None], supports[:, None, :]])
+    return math.sqrt(max(0.0, float(eigs[:, -1].max())))
+
+
+def _gaussian_operator(seed, m=16, n=32):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    return A, 1.0 / np.linalg.norm(A, 2) ** 2
+
+
+def _conditioned_operator(seed, n=32):
+    """Square operator with spectrum in [0.85, 1.15] (the verify-theorems
+    recipe)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = q @ np.diag(rng.uniform(0.85, 1.15, n)) @ q.T
+    return A, 1.0 / np.linalg.norm(A, 2) ** 2
+
+
+def _circulant_laplacian(n=16):
+    """Symmetric circulant: invariant under cyclic shifts and reflection,
+    so many Gram blocks tie up to rounding."""
+    first = np.zeros(n)
+    first[[0, 1, -1]] = 2.0, -1.0, -1.0
+    A = np.stack([np.roll(first, i) for i in range(n)])
+    return A, 1.0 / np.linalg.norm(A, 2) ** 2
+
+
+def _rank_one_projector(n=16):
+    """A whose rows are an orthonormal basis of the complement of the
+    constant vector, at gamma 1: M^2 is the rank-one projector onto that
+    vector, so every Gram block has the same top eigenvalue, equal to its
+    Frobenius norm, up to rounding."""
+    u = np.ones(n) / math.sqrt(n)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+    return q[:, 1:].T, 1.0
+
+
+RIC_CASES = {  # name: (A, gamma, k)
+    **{f"gaussian-{seed}": (*_gaussian_operator(seed), 2) for seed in (0, 7, 21)},
+    **{f"conditioned-{seed}": (*_conditioned_operator(seed), 2) for seed in (3, 8)},
+    "identity-gamma1": (np.eye(16), 1.0, 2),
+    "identity-gamma0.5": (np.eye(16), 0.5, 2),
+    "circulant": (*_circulant_laplacian(), 2),
+    "all-ones": (np.ones((6, 12)), 1.0 / 72.0, 2),
+    "rank-one": (*_rank_one_projector(), 2),
+    "one-support": (*_gaussian_operator(4, m=3, n=5), 3),  # min(2k, n) == n
+    "wide-index": (*_gaussian_operator(5, m=8, n=257), 1),  # indices past uint8
+}
+
+
+@pytest.mark.parametrize("case", sorted(RIC_CASES))
+def test_ric_exact_equals_full_enumeration(case):
+    A, gamma, k = RIC_CASES[case]
+    est = ric_exact_ksparse(A, gamma, k)
+    assert est.value == _ric_full_enumeration(A, gamma, k)
+    n = A.shape[1]
+    assert est.samples == math.comb(n, min(2 * k, n))
+    assert 1 <= est.evaluated <= est.samples
+
+
+def test_ric_exact_prunes_gaussian_blocks():
+    est = ric_exact_ksparse(*RIC_CASES["gaussian-0"])
+    assert est.evaluated < est.samples
+
+
+@pytest.mark.parametrize("case", ["identity-gamma0.5", "rank-one"])
+def test_ric_exact_evaluates_tied_blocks(case):
+    # every block's bound equals the common top eigenvalue up to rounding,
+    # so the pruning margin must keep all of them
+    est = ric_exact_ksparse(*RIC_CASES[case])
+    assert est.evaluated == est.samples
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_ric_exact_rejects_nonpositive_k(k):
+    with pytest.raises(ValueError, match=r"k must be >= 1"):
+        ric_exact_ksparse(np.eye(6), 1.0, k)
+
+
 def test_ric_sampled_identity_zero():
     est = ric_sampled(DenseOperator(np.eye(8)), 1.0, KSparse(2, 8), 200, seed=0)
     assert est.value == pytest.approx(0.0, abs=1e-12)
