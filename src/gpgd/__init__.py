@@ -2,7 +2,7 @@
 generalized projections, learned dense projective priors, and empirical
 verification of the restricted-isometry convergence theory."""
 
-from .signals import NoiseSpec, Signal, add_noise, psnr
+from .signals import NoiseSpec, add_noise, psnr
 from .operators import (
     Blur,
     Composition,
@@ -34,4 +34,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

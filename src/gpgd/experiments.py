@@ -222,8 +222,6 @@ def _parse_value(key: str, raw: str, lineno: int):
             items = json.loads(raw)
             return tuple(_TUPLE_FIELDS[key](v) for v in items)
         proto = getattr(ExperimentConfig, key)
-        if isinstance(proto, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(proto, int):
             return int(raw)
         if isinstance(proto, float):

@@ -9,12 +9,11 @@ vector (n,) or a stack (b, n) of vectors, one per row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import as_rows, as_vector
+from .signals import as_rows
 
 __all__ = [
     "ModelSetError",
@@ -24,14 +23,16 @@ __all__ = [
     "hard_threshold",
     "project_union",
     "project",
-    "is_member",
+    "MEMBER_TOL",
+    "on_model_set",
     "sample_member",
     "random_lines",
     "ExactProjector",
     "PerturbedProjector",
-    "model_to_json",
-    "model_from_json",
 ]
+
+# Relative distance within which a point counts as lying in a model set.
+MEMBER_TOL = 1e-9
 
 
 class ModelSetError(ValueError):
@@ -133,13 +134,10 @@ def project(model, z) -> np.ndarray:
     return project_union(z, model)
 
 
-def is_member(model, x, tol: float = 1e-8) -> bool:
-    """True iff x is within relative distance tol of the model set."""
-    if tol <= 0:
-        raise ModelSetError(f"tol must be > 0, got {tol}")
-    vec = as_vector(x)
-    resid = np.linalg.norm(vec - project(model, vec))
-    return resid <= tol * (1.0 + np.linalg.norm(vec))
+def on_model_set(z: np.ndarray, pz: np.ndarray) -> bool:
+    """Whether the vector z lies within relative distance MEMBER_TOL of a
+    model set, given its exact projection pz onto that set."""
+    return bool(np.linalg.norm(z - pz) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)))
 
 
 def sample_member(model, rng: np.random.Generator) -> np.ndarray:
@@ -190,8 +188,7 @@ class PerturbedProjector:
     made in call order.
     """
 
-    def __init__(self, model: UnionOfLines, t: float, u: float, seed: int,
-                 member_tol: float = 1e-9):
+    def __init__(self, model: UnionOfLines, t: float, u: float, seed: int):
         if not isinstance(model, UnionOfLines):
             raise ModelSetError("perturbed projector requires a union of lines")
         if t < 0 or u < 0:
@@ -201,7 +198,6 @@ class PerturbedProjector:
         self.model = model
         self.t = float(t)
         self.u = float(u)
-        self.member_tol = member_tol
         self._rng = np.random.default_rng(seed)
 
     def __call__(self, z) -> np.ndarray:
@@ -215,8 +211,7 @@ class PerturbedProjector:
         abs_c = np.abs(coeffs)
         best = int(np.argmax(abs_c))
         exact = coeffs[best] * self.model.directions[best]
-        resid = np.linalg.norm(vec - exact)
-        if resid <= self.member_tol * (1.0 + np.linalg.norm(vec)):
+        if on_model_set(vec, exact):
             return exact
         pick = best
         if self.u > 0 and abs_c.size > 1 and self._rng.random() < self.u:
@@ -224,45 +219,3 @@ class PerturbedProjector:
             pick = int(order[1])
         return (1.0 + self.t) * coeffs[pick] * self.model.directions[pick]
 
-
-def model_to_json(model) -> str:
-    """Serialize a model set: kind tag plus flat row-major float arrays."""
-    if isinstance(model, KSparse):
-        doc = {"kind": "k-sparse", "k": model.k, "n": model.n}
-    elif isinstance(model, UnionOfSubspaces):
-        doc = {
-            "kind": "union-of-subspaces",
-            "n": model.n,
-            "dims": [b.shape[1] for b in model.bases],
-            "bases": [b.reshape(-1).tolist() for b in model.bases],
-        }
-    elif isinstance(model, UnionOfLines):
-        doc = {
-            "kind": "union-of-lines",
-            "n": model.n,
-            "count": model.directions.shape[0],
-            "directions": model.directions.reshape(-1).tolist(),
-        }
-    else:
-        raise ModelSetError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(doc)
-
-
-def model_from_json(text: str):
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "k-sparse":
-        return KSparse(int(doc["k"]), int(doc["n"]))
-    if kind == "union-of-subspaces":
-        n = int(doc["n"])
-        bases = [
-            np.asarray(flat, dtype=np.float64).reshape(n, d)
-            for flat, d in zip(doc["bases"], doc["dims"])
-        ]
-        return UnionOfSubspaces(bases)
-    if kind == "union-of-lines":
-        n = int(doc["n"])
-        count = int(doc["count"])
-        dirs = np.asarray(doc["directions"], dtype=np.float64).reshape(count, n)
-        return UnionOfLines(dirs)
-    raise ModelSetError(f"unknown model kind: {kind!r}")

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import project, sample_member
+from .models import on_model_set, project, sample_member
 from .operators import materialize
 from .signals import as_vector
 
 __all__ = [
     "PSI_GUARD",
-    "cosine_alpha",
     "psi_rows",
     "psi",
     "phi_rows",
@@ -41,19 +40,8 @@ __all__ = [
     "radial_sampler",
 ]
 
-# Degenerate-quotient guard for psi and membership skipping.
+# Degenerate-quotient guard on the projection and residual norms in psi and phi.
 PSI_GUARD = 1e-9
-
-
-def cosine_alpha(x, y) -> float:
-    """Cosine of the angle between x and y, clamped to [-1, 1]."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    nx = np.linalg.norm(xv)
-    ny = np.linalg.norm(yv)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine_alpha: zero-norm input")
-    return float(np.clip(np.dot(xv, yv) / (nx * ny), -1.0, 1.0))
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -147,19 +135,13 @@ def phi_rows(Pperp: np.ndarray, P: np.ndarray, Z: np.ndarray):
     return np.sqrt(2.0 * np.sqrt(sin2_pp) / denom), undefined
 
 
-def _in_model_set(z: np.ndarray, pperp: np.ndarray) -> bool:
-    """Whether z lies within the guard distance of the model set, given its
-    exact projection pperp."""
-    return bool(np.linalg.norm(z - pperp) <= PSI_GUARD * (1.0 + np.linalg.norm(z)))
-
-
 def phi(model, P, z) -> float | None:
     """Angular deviation between P and the exact projection at z (see
     phi_rows); None when z lies in the model set, where P is not called, or
     the value is undefined."""
     zv = as_vector(z)
     pperp = project(model, zv)
-    if _in_model_set(zv, pperp):
+    if on_model_set(zv, pperp):
         return None
     vals, undefined = phi_rows(pperp[None], as_vector(P(zv))[None], zv[None])
     return None if undefined[0] else float(vals[0])
@@ -362,7 +344,7 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
                          z_sampler=None) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
-    Samples landing within the guard distance of the model set are skipped
+    Samples landing in the model set (models.on_model_set) are skipped
     and counted as degenerate; P is called once per remaining sample, in
     sample order. Undefined psi and phi values contribute zero.
     """
@@ -377,7 +359,7 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
     for i in range(nsamples):
         z = sampler(rng, n)
         pperp = project(model, z)
-        if _in_model_set(z, pperp):
+        if on_model_set(z, pperp):
             degenerate += 1
         else:
             Z[filled], Pperp[filled], Pz[filled] = z, pperp, as_vector(P(z))

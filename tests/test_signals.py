@@ -5,14 +5,9 @@ import pytest
 
 from gpgd.signals import (
     NoiseSpec,
-    Signal,
     SignalError,
     add_noise,
     psnr,
-    signal_from_csv,
-    signal_from_raw,
-    signal_to_csv,
-    signal_to_raw,
 )
 
 
@@ -76,48 +71,3 @@ def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(SignalError):
         NoiseSpec(-0.1, 0)
 
-
-def test_signal_validation():
-    with pytest.raises(SignalError):
-        Signal(np.array([1.0, np.nan]))
-    with pytest.raises(SignalError):
-        Signal(np.array([]))
-    with pytest.raises(SignalError):
-        Signal(np.arange(5.0), shape2d=(2, 2))
-
-
-def test_signal_csv_roundtrip_image(tmp_path):
-    sig = Signal(np.linspace(0, 1, 12), shape2d=(3, 4))
-    path = tmp_path / "sig.csv"
-    signal_to_csv(sig, path)
-    back = signal_from_csv(path)
-    assert back.shape2d == (3, 4)
-    assert np.array_equal(back.data, sig.data)
-
-
-def test_signal_csv_roundtrip_flat(tmp_path):
-    sig = Signal(np.array([0.25, 0.5, 1.0 / 3.0]))
-    path = tmp_path / "sig.csv"
-    signal_to_csv(sig, path)
-    back = signal_from_csv(path)
-    assert back.shape2d is None
-    assert np.array_equal(back.data, sig.data)
-
-
-def test_signal_raw_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    sig = Signal(rng.standard_normal(37))
-    path = tmp_path / "sig.bin"
-    signal_to_raw(sig, path)
-    back = signal_from_raw(path)
-    assert np.array_equal(back.data, sig.data)
-
-
-def test_signal_raw_truncated(tmp_path):
-    sig = Signal(np.arange(4.0))
-    path = tmp_path / "sig.bin"
-    signal_to_raw(sig, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-3])
-    with pytest.raises(SignalError):
-        signal_from_raw(path)

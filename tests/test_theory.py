@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gpgd.models import (
+    MEMBER_TOL,
     ExactProjector,
     KSparse,
     PerturbedProjector,
@@ -16,7 +17,6 @@ from gpgd.models import (
 )
 from gpgd.operators import DenseOperator
 from gpgd.theory import (
-    cosine_alpha,
     orthogonality_report,
     phi,
     psi,
@@ -58,18 +58,7 @@ def power_iteration_sigma_max(mats, iters=20_000, tol=1e-12):
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-# --- cosine / psi / phi ----------------------------------------------------
-
-
-def test_cosine_alpha_examples():
-    x = np.array([1.0, 2.0])
-    assert cosine_alpha(x, x) == pytest.approx(1.0, abs=1e-15)
-    assert cosine_alpha([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine_alpha([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-        0.7071067811865475, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        cosine_alpha([0.0, 0.0], [1.0, 0.0])
+# --- psi / phi ------------------------------------------------------------
 
 
 def test_psi_orthogonal_projection_is_zero():
@@ -332,6 +321,55 @@ def test_report_perturbed_tangential():
     rep = orthogonality_report(lines, proj, 2000, seed=9)
     assert rep.max_phi == pytest.approx(0.0, abs=1e-7)
     assert rep.lprime_hat > 0.0
+
+
+def _points_near_lines(lines, rel, rng):
+    """One point per line at relative distance about rel from it: the
+    line's point at a random scale plus an offset orthogonal to the line of
+    size rel * (1 + scale). Returns the points and their exact relative
+    distances ||z - Pperp(z)|| / (1 + ||z||)."""
+    points = []
+    for d in lines.directions:
+        w = rng.standard_normal(d.size)
+        w -= np.dot(w, d) * d
+        w /= np.linalg.norm(w)
+        scale = float(rng.uniform(0.5, 2.0))
+        points.append(scale * d + rel * (1.0 + scale) * w)
+    dists = [np.linalg.norm(z - project(lines, z)) / (1.0 + np.linalg.norm(z))
+             for z in points]
+    return points, np.array(dists)
+
+
+def test_membership_tolerance_shared_by_report_and_projector():
+    # points at relative distance 5e-10 count as members, at 2e-9 they do
+    # not, for the orthogonality report's skip and the perturbed
+    # projector's pass-through alike
+    lines = random_lines(5, 8, seed=17)
+    rng = np.random.default_rng(18)
+    inside, d_in = _points_near_lines(lines, 5e-10, rng)
+    outside, d_out = _points_near_lines(lines, 2e-9, rng)
+    assert np.all(d_in < MEMBER_TOL) and np.all(d_out > MEMBER_TOL)
+
+    stream = [p for pair in zip(inside, outside) for p in pair]
+    feed = iter(stream)
+    seen = []
+
+    def recording_exact(z):
+        seen.append(z)
+        return project(lines, z)
+
+    rep = orthogonality_report(lines, recording_exact, len(stream), seed=0,
+                               z_sampler=lambda rng, n: next(feed))
+    assert rep.degenerate == len(inside)
+    assert len(seen) == len(outside)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, outside))
+    assert all(phi(lines, recording_exact, z) is None for z in inside)
+
+    proj = PerturbedProjector(lines, t=0.3, u=0.0, seed=0)
+    for z in inside:
+        assert np.allclose(proj(z), project(lines, z), rtol=1e-14, atol=0.0)
+    for z in outside:
+        assert np.allclose(proj(z), 1.3 * project(lines, z), rtol=1e-14, atol=0.0)
 
 
 def _sin2_reference(u, v):
