@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import as_rows
+from .signals import as_rows, row_norms
 
 __all__ = [
     "ModelSetError",
@@ -108,21 +108,23 @@ def project_union(z, model) -> np.ndarray:
 
     Picks, per row, the component maximizing the projected norm
     (equivalently, minimizing the residual); ties go to the lowest index.
+    Every row gets the bits of its own one-vector call: the products are
+    row-by-row matmuls, which a single stacked matmul would not give.
     """
     vec = as_rows(z)
+    rows = vec.reshape(-1, vec.shape[-1])
     if isinstance(model, UnionOfLines):
-        coeffs = vec @ model._directions_t
+        coeffs = np.matmul(rows[:, None, :], model._directions_t)[:, 0]
         best = np.argmax(np.abs(coeffs), axis=-1)
-        if vec.ndim == 2:
-            return coeffs[np.arange(len(vec)), best][:, None] * model.directions[best]
-        return coeffs[best] * model.directions[best]
+        out = coeffs[np.arange(len(rows)), best][:, None] * model.directions[best]
+        return out.reshape(vec.shape)
     if isinstance(model, UnionOfSubspaces):
-        rows = vec.reshape(-1, model.n)
-        coeffs = [rows @ b for b in model.bases]
-        best = np.argmax(np.stack([np.sqrt(np.vecdot(c, c)) for c in coeffs]), axis=0)
+        coeffs = [np.matmul(rows[:, None, :], b)[:, 0] for b in model.bases]
+        best = np.argmax(np.stack([row_norms(c) for c in coeffs]), axis=0)
         out = np.empty_like(rows)
-        for r, j in enumerate(best.tolist()):
-            out[r] = model.bases[j] @ coeffs[j][r]
+        for j, b in enumerate(model.bases):
+            picked = best == j
+            out[picked] = np.matmul(b, coeffs[j][picked][:, :, None])[..., 0]
         return out.reshape(vec.shape)
     raise ModelSetError(f"project_union does not support {type(model).__name__}")
 
@@ -134,10 +136,12 @@ def project(model, z) -> np.ndarray:
     return project_union(z, model)
 
 
-def on_model_set(z: np.ndarray, pz: np.ndarray) -> bool:
-    """Whether the vector z lies within relative distance MEMBER_TOL of a
-    model set, given its exact projection pz onto that set."""
-    return bool(np.linalg.norm(z - pz) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)))
+def on_model_set(z: np.ndarray, pz: np.ndarray):
+    """Whether z lies within relative distance MEMBER_TOL of a model set,
+    given its exact projection pz onto that set: a bool for one vector,
+    a bool per row for a stack (b, n)."""
+    inside = row_norms(z - pz) <= MEMBER_TOL * (1.0 + row_norms(z))
+    return bool(inside) if np.ndim(z) == 1 else inside
 
 
 def sample_member(model, rng: np.random.Generator) -> np.ndarray:
@@ -184,8 +188,8 @@ class PerturbedProjector:
     generator, so the map is sequence-reproducible rather than pointwise
     deterministic). Outputs always lie in the model set, and points already
     in the set are returned via the exact projection (P(z) = z on the set).
-    It takes one vector per call, never a stack, because its draws are
-    made in call order.
+    A stack (b, n) is the same as b one-vector calls in row order: rows off
+    the set draw from the generator in that order, rows on it draw nothing.
     """
 
     def __init__(self, model: UnionOfLines, t: float, u: float, seed: int):
@@ -202,20 +206,22 @@ class PerturbedProjector:
 
     def __call__(self, z) -> np.ndarray:
         vec = as_rows(z)
-        if vec.ndim != 1:
-            raise ModelSetError(
-                "PerturbedProjector takes one vector per call: its random "
-                "draws follow the call order"
-            )
-        coeffs = self.model.directions @ vec
+        rows = vec.reshape(-1, vec.shape[-1])
+        dirs = self.model.directions
+        # row-by-row matmul: the bits of directions @ row for every row
+        coeffs = np.matmul(dirs, rows[:, :, None])[..., 0]
         abs_c = np.abs(coeffs)
-        best = int(np.argmax(abs_c))
-        exact = coeffs[best] * self.model.directions[best]
-        if on_model_set(vec, exact):
-            return exact
+        idx = np.arange(len(rows))
+        best = np.argmax(abs_c, axis=1)
+        exact = coeffs[idx, best][:, None] * dirs[best]
+        on_set = on_model_set(rows, exact)
         pick = best
-        if self.u > 0 and abs_c.size > 1 and self._rng.random() < self.u:
-            order = np.argsort(-abs_c, kind="stable")
-            pick = int(order[1])
-        return (1.0 + self.t) * coeffs[pick] * self.model.directions[pick]
-
+        if self.u > 0 and abs_c.shape[1] > 1:
+            off = np.flatnonzero(~on_set)
+            flip = off[self._rng.random(off.size) < self.u]
+            if flip.size:
+                pick = best.copy()
+                pick[flip] = np.argsort(-abs_c[flip], axis=1, kind="stable")[:, 1]
+        out = (1.0 + self.t) * coeffs[idx, pick][:, None] * dirs[pick]
+        out[on_set] = exact[on_set]
+        return out.reshape(vec.shape)

@@ -19,6 +19,7 @@ __all__ = [
     "NoiseSpec",
     "as_vector",
     "as_rows",
+    "row_norms",
     "add_noise",
     "psnr",
 ]
@@ -47,6 +48,12 @@ def as_rows(x) -> np.ndarray:
         return arr.reshape(1)
     raise SignalError(f"expected a signal or a 2-D stack of signals, got shape "
                       f"{arr.shape}")
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X (of X itself when 1-D); equals
+    np.linalg.norm(row) bit for bit, which a plain einsum does not."""
+    return np.sqrt(np.vecdot(X, X))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LinearOperator
-from .signals import as_rows, as_vector, psnr
+from .signals import as_rows, as_vector, psnr, row_norms
 
 __all__ = [
     "GpgdConfig",
@@ -109,11 +109,6 @@ class GpgdTrace:
                          proj_err=pick(self.proj_err))
 
 
-def _row_norms(D: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; equals np.linalg.norm(row) bit for bit."""
-    return np.sqrt(np.vecdot(D, D))
-
-
 def _one_vector(trace: GpgdTrace) -> None:
     if isinstance(trace.iterates, list):
         raise ValueError("expected a one-vector trace; take row r of a stack "
@@ -179,7 +174,7 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
         if i:
             p = as_rows(P(x))
             if truth is not None:
-                proj_err[:, i - 1] = _row_norms(p.reshape(b, A.n) - truth)
+                proj_err[:, i - 1] = row_norms(p.reshape(b, A.n) - truth)
             x = p - gamma * A.adjoint(A.apply(p) - yv)
             finite = np.isfinite(x)
             if not finite.all():
@@ -189,7 +184,7 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
                 raise SolverDivergence(i, float(np.linalg.norm(bad[ok])), row)
         for stack, xr in zip(stacks, x.reshape(b, A.n)):
             stack[i] = xr
-        residual[:, i] = _row_norms(A.apply(x) - yv)
+        residual[:, i] = row_norms(A.apply(x) - yv)
 
     lead = shape[:-1]
     trace = GpgdTrace(gamma=gamma, residual=residual.reshape(lead + (-1,)),
@@ -198,9 +193,9 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
         err = np.empty(residual.shape)
         db = np.empty(residual.shape)
         for r, stack in enumerate(stacks):
-            err[r] = _row_norms(stack - truth[r])
+            err[r] = row_norms(stack - truth[r])
             db[r] = psnr(stack, truth[r])
-        truth_norm = _row_norms(truth)
+        truth_norm = row_norms(truth)
         if np.all(truth_norm > 0):
             trace.rel_err = (err / truth_norm[:, None]).reshape(lead + (-1,))
         trace.err = err.reshape(lead + (-1,))
@@ -222,7 +217,7 @@ def convergence_iteration(trace: GpgdTrace, x_star, threshold: float) -> int | N
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ValueError("convergence_iteration: ||x_star|| = 0")
-    hits = np.flatnonzero(_row_norms(trace.iterates - ref) / ref_norm <= threshold)
+    hits = np.flatnonzero(row_norms(trace.iterates - ref) / ref_norm <= threshold)
     return int(hits[0]) if hits.size else None
 
 

@@ -18,10 +18,11 @@ import numpy as np
 
 from .models import on_model_set, project, sample_member
 from .operators import materialize
-from .signals import as_vector
+from .signals import as_rows, as_vector, row_norms
 
 __all__ = [
     "PSI_GUARD",
+    "SAMPLE_BLOCK",
     "psi_rows",
     "psi",
     "phi_rows",
@@ -44,7 +45,11 @@ __all__ = [
 PSI_GUARD = 1e-9
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
+def _einsum_norms(X: np.ndarray) -> np.ndarray:
+    """Row norms by einsum. They round differently from signals.row_norms
+    (np.linalg.norm's bits), and psi, phi and the deviation ratio keep
+    them: trained priors, checkpoints and the theorem and estimate reports
+    depend on these bits."""
     return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
@@ -63,8 +68,8 @@ def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
     """
     R = np.subtract(Z, P, out=R)
     u = np.einsum("ij,ij->i", P, R)
-    a = _row_norms(P)
-    b = _row_norms(R)
+    a = _einsum_norms(P)
+    b = _einsum_norms(R)
     degenerate = (a <= PSI_GUARD) | (b <= PSI_GUARD)
     valid = ~degenerate
     a += degenerate  # degenerate rows divide by a positive dummy norm
@@ -101,8 +106,8 @@ def _sin2(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     ~1e-32 instead of the ~1e-16 noise of the naive formula. Zero rows
     give NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        Uh = U / _row_norms(U)[:, None]
-        Vh = V / _row_norms(V)[:, None]
+        Uh = U / _einsum_norms(U)[:, None]
+        Vh = V / _einsum_norms(V)[:, None]
     R = Vh - np.einsum("ij,ij->i", Uh, Vh)[:, None] * Uh
     return np.einsum("ij,ij->i", R, R)
 
@@ -126,8 +131,8 @@ def phi_rows(Pperp: np.ndarray, P: np.ndarray, Z: np.ndarray):
     sin2_pp[sin2_pp <= _COLINEAR_GUARD] = 0.0
     denom = _sin2(Z, Pperp)
     undefined = (
-        (_row_norms(Pperp) <= PSI_GUARD)
-        | (_row_norms(P) <= PSI_GUARD)
+        (_einsum_norms(Pperp) <= PSI_GUARD)
+        | (_einsum_norms(P) <= PSI_GUARD)
         | (denom <= 1e-12)
     )
     sin2_pp[undefined] = 0.0
@@ -153,10 +158,10 @@ def radial_sampler(radius: float = 2.0):
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal(n)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g.dot(g))  # np.linalg.norm's bits, without its overhead
         while norm == 0.0:
             g = rng.standard_normal(n)
-            norm = np.linalg.norm(g)
+            norm = math.sqrt(g.dot(g))
         r = rng.uniform(0.0, radius)
         while r == 0.0:
             r = rng.uniform(0.0, radius)
@@ -171,7 +176,9 @@ class RicEstimate:
 
     samples counts the supports (exact) or secant pairs (sampled) the value
     ranges over; evaluated, for the exact method, counts the supports whose
-    Gram block was eigendecomposed after pruning (None when sampled).
+    Gram block was eigendecomposed after pruning (None when sampled);
+    degenerate, for the sampled method, counts the pairs skipped because
+    their difference was (numerically) zero (None when exact).
     """
 
     value: float
@@ -180,6 +187,7 @@ class RicEstimate:
     seed: int | None = None
     series: np.ndarray | None = field(default=None, repr=False)
     evaluated: int | None = None
+    degenerate: int | None = None
 
 
 # Supports per pass of the eigenvalue-bound computation in ric_exact_ksparse,
@@ -256,6 +264,37 @@ def ric_exact_ksparse(A, gamma: float, k: int,
     )
 
 
+# Samples per block in the sampled estimators: draws stay one at a time, in
+# stream order, and each block is evaluated with one call per projection,
+# membership test and norm. Large enough to amortize those calls, small
+# enough that the block buffers stay a few tens of KB at the sizes the
+# estimators run at.
+SAMPLE_BLOCK = 512
+
+# Differences at or below this norm are skipped as degenerate samples.
+_SECANT_GUARD = 1e-12
+
+
+def _raise_running_max(ratios: np.ndarray, best: float, series: np.ndarray):
+    """Fold a block of ratios, in sample order, into the running maximum
+    best. series receives the running maximum after each sample. Returns
+    the new maximum and the index of the first sample that raised it above
+    best (None if none did). NaN ratios, including the NaN of a skipped
+    sample, raise nothing, just as ratio > best is false for them."""
+    np.fmax(np.fmax.accumulate(ratios), best, out=series)
+    top = int(np.argmax(series))  # series is sorted: the first maximal sample
+    if series[top] > best:
+        return float(series[top]), top
+    return best, None
+
+
+def _block_ratios(num: np.ndarray, den: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """num / den on the used rows of a block, NaN on the skipped ones."""
+    ratios = np.full(len(used), np.nan)
+    ratios[used] = num / den[used]
+    return ratios
+
+
 def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate:
     """Monte-Carlo lower bound on the RIC over random secant pairs."""
     mat = materialize(A)
@@ -263,57 +302,83 @@ def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate
     m_op = np.eye(n) - gamma * (mat.T @ mat)
     rng = np.random.default_rng(seed)
     series = np.zeros(nsamples)
+    D = np.empty((min(nsamples, SAMPLE_BLOCK), n))
     best = 0.0
-    for i in range(nsamples):
-        x1 = sample_member(model, rng)
-        x2 = sample_member(model, rng)
-        diff = x1 - x2
-        norm = np.linalg.norm(diff)
-        if norm > 1e-12:
-            ratio = np.linalg.norm(m_op @ diff) / norm
-            best = max(best, float(ratio))
-        series[i] = best
+    degenerate = 0
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, nsamples - start)
+        diffs = D[:count]
+        for r in range(count):
+            x1 = sample_member(model, rng)
+            diffs[r] = x1 - sample_member(model, rng)
+        norms = row_norms(diffs)
+        used = norms > _SECANT_GUARD
+        degenerate += count - int(np.count_nonzero(used))
+        # row-by-row matmul: the bits of m_op @ diff for every row
+        images = np.matmul(m_op, diffs[used][:, :, None])[..., 0]
+        ratios = _block_ratios(row_norms(images), norms, used)
+        best, _ = _raise_running_max(ratios, best, series[start : start + count])
     return RicEstimate(
         value=best,
         method="SampledLowerBound",
         samples=nsamples,
         seed=seed,
         series=series,
+        degenerate=degenerate,
     )
 
 
 @dataclass
 class LipschitzEstimate:
-    """Sampled lower bound on a restricted Lipschitz constant."""
+    """Sampled lower bound on a restricted Lipschitz constant.
+
+    degenerate counts the samples skipped because z was (numerically) x.
+    """
 
     value: float
     samples: int
     seed: int
     witness: tuple[np.ndarray, np.ndarray] | None
     series: np.ndarray | None = field(default=None, repr=False)
+    degenerate: int = 0
 
 
 def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
                                  z_sampler=None) -> LipschitzEstimate:
-    """Max over samples of ||P(z) - x|| / ||z - x|| with x in the model set."""
+    """Max over samples of ||P(z) - x|| / ||z - x|| with x in the model set.
+
+    Each sample draws z, then x. P takes a stack (b, n) of points, one per
+    row; it is called once per block of samples, on the rows with z != x
+    in sample order.
+    """
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
     n = model.n
+    rows = min(nsamples, SAMPLE_BLOCK)
+    Z, X = np.empty((rows, n)), np.empty((rows, n))
     best = 0.0
     witness = None
+    degenerate = 0
     series = np.zeros(nsamples)
-    for i in range(nsamples):
-        z = sampler(rng, n)
-        x = sample_member(model, rng)
-        dz = np.linalg.norm(z - x)
-        if dz > 1e-12:
-            ratio = float(np.linalg.norm(as_vector(P(z)) - x) / dz)
-            if ratio > best:
-                best = ratio
-                witness = (z.copy(), x.copy())
-        series[i] = best
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, nsamples - start)
+        z_b, x_b = Z[:count], X[:count]
+        for r in range(count):
+            z_b[r] = sampler(rng, n)
+            x_b[r] = sample_member(model, rng)
+        dz = row_norms(z_b - x_b)
+        used = dz > _SECANT_GUARD
+        degenerate += count - int(np.count_nonzero(used))
+        dist = np.empty(0)
+        if used.any():
+            dist = row_norms(as_rows(P(z_b[used])) - x_b[used])
+        ratios = _block_ratios(dist, dz, used)
+        best, top = _raise_running_max(ratios, best, series[start : start + count])
+        if top is not None:
+            witness = (z_b[top].copy(), x_b[top].copy())
     return LipschitzEstimate(
-        value=best, samples=nsamples, seed=seed, witness=witness, series=series
+        value=best, samples=nsamples, seed=seed, witness=witness, series=series,
+        degenerate=degenerate,
     )
 
 
@@ -334,41 +399,45 @@ class OrthogonalityReport:
     degenerate: int = 0
 
 
-# Rows per psi/phi/lprime evaluation in orthogonality_report: large enough
-# to amortize the per-call cost of the row kernels, small enough that the
-# sample buffers stay a few tens of KB at the sizes reports run at.
-_REPORT_BLOCK = 512
-
-
 def orthogonality_report(model, P, nsamples: int, seed: int,
                          z_sampler=None) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
     Samples landing in the model set (models.on_model_set) are skipped
-    and counted as degenerate; P is called once per remaining sample, in
-    sample order. Undefined psi and phi values contribute zero.
+    and counted as degenerate. P takes a stack (b, n) of points, one per
+    row, and is called once per SAMPLE_BLOCK remaining samples (fewer in
+    the last call), in sample order. Undefined psi and phi values
+    contribute zero.
     """
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
     n = model.n
-    rows = max(min(nsamples, _REPORT_BLOCK), 1)
-    Z, Pperp, Pz = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
+    rows = min(nsamples, SAMPLE_BLOCK)
+    draws, Z, Pperp = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
     # psi sum, then the maxima of psi, phi and the deviation ratio
     totals = np.zeros(4)
-    used = degenerate = filled = 0
-    for i in range(nsamples):
-        z = sampler(rng, n)
-        pperp = project(model, z)
-        if on_model_set(z, pperp):
-            degenerate += 1
-        else:
-            Z[filled], Pperp[filled], Pz[filled] = z, pperp, as_vector(P(z))
-            filled += 1
-        if filled == rows or (filled and i == nsamples - 1):
-            z_b, pperp_b, p_b = Z[:filled], Pperp[:filled], Pz[:filled]
+    used = degenerate = filled = drawn = 0
+    while drawn < nsamples:
+        # draw only as many samples as the pending block has room for, so
+        # every evaluated block holds exactly `rows` used samples until the
+        # last: mean_psi sums over the same blocks whatever is skipped
+        z_d = draws[: min(rows - filled, nsamples - drawn)]
+        for r in range(len(z_d)):
+            z_d[r] = sampler(rng, n)
+        drawn += len(z_d)
+        pperp_d = project(model, z_d)
+        keep = ~on_model_set(z_d, pperp_d)
+        kept = int(np.count_nonzero(keep))
+        degenerate += len(z_d) - kept
+        Z[filled : filled + kept] = z_d[keep]
+        Pperp[filled : filled + kept] = pperp_d[keep]
+        filled += kept
+        if filled == rows or (filled and drawn == nsamples):
+            z_b, pperp_b = Z[:filled], Pperp[:filled]
+            p_b = as_rows(P(z_b))
             psi_vals, _ = psi_rows(p_b, z_b)
             phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
-            lprime = _row_norms(pperp_b - p_b) / _row_norms(z_b - pperp_b)
+            lprime = _einsum_norms(pperp_b - p_b) / _einsum_norms(z_b - pperp_b)
             totals[0] += psi_vals.sum()
             np.maximum(totals[1:], [psi_vals.max(), phi_vals.max(), lprime.max()],
                        out=totals[1:])

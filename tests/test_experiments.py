@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpgd import cli
+from gpgd import cli, experiments
 from gpgd.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -19,10 +19,17 @@ from gpgd.experiments import (
     train_priors,
     verify_theorems,
 )
-from gpgd.models import ExactProjector, KSparse
+from gpgd.models import (
+    ExactProjector,
+    KSparse,
+    PerturbedProjector,
+    project,
+    random_lines,
+    sample_member,
+)
 from gpgd.nets import NetProjector, load_checkpoint
 from gpgd.operators import DenseOperator, make_inpainting_operator
-from gpgd.signals import NoiseSpec, add_noise
+from gpgd.signals import NoiseSpec, add_noise, row_norms
 from gpgd.solver import (
     GpgdConfig,
     best_iterate,
@@ -309,6 +316,47 @@ def test_verify_theorems_builds_each_instance_once(monkeypatch):
     monkeypatch.setattr(theory, "ric_exact_ksparse", counted)
     verify_theorems(VerifyConfig(nseeds=2, nsamples=50, seed=0))
     assert len(calls) == 2 * 2
+
+
+def _triangle_reference(vcfg, norm):
+    """The per-sample loop behind the theorem2-triangle-chain entry, with
+    its vector norm replaced by norm; returns (passed, details)."""
+    seed = experiments._derive_seed
+    lines = random_lines(vcfg.lines, vcfg.lines_dim, seed(vcfg.seed, 12))
+    proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=seed(vcfg.seed, 13))
+    rng = np.random.default_rng(seed(vcfg.seed, 14))
+    sampler = experiments.theory.radial_sampler()
+    worst = -math.inf
+    for _ in range(vcfg.nsamples):
+        z = sampler(rng, vcfg.lines_dim)
+        x = sample_member(lines, rng)
+        p = proj(z)
+        pperp = project(lines, z)
+        lhs = norm(p - x)
+        rhs = norm(p - pperp) + norm(pperp - x)
+        worst = max(worst, float(lhs - rhs))
+        if lhs > rhs + 1e-12 * (1.0 + rhs):
+            return False, f"violated: lhs={lhs} rhs={rhs} z={z.tolist()}"
+    return True, f"samples={vcfg.nsamples} worst_gap={worst}"
+
+
+@pytest.mark.parametrize("threshold", [None, 1.0, 1.4])
+def test_triangle_entry_matches_per_sample_loop(monkeypatch, threshold):
+    # The chain holds for true norms, so the entry passes (None). Tripling
+    # the norm of vectors whose first coordinate exceeds the threshold
+    # breaks it on some samples: at seed 0, 26 of 1300 with the first at
+    # sample 7 (1.0), and 4 with the first at 430 (1.4). The blocked entry
+    # must report the first violating sample, as the loop does.
+    if threshold is None:
+        norm = np.linalg.norm
+    else:
+        norm = lambda v: np.linalg.norm(v) * (3.0 if v[0] > threshold else 1.0)
+        monkeypatch.setattr(experiments, "row_norms", lambda X: (
+            row_norms(X) * np.where(X[..., 0] > threshold, 3.0, 1.0)))
+    vcfg = VerifyConfig(nsamples=1300)
+    entry = experiments._triangle_entry(vcfg)
+    assert (entry.passed, entry.details) == _triangle_reference(vcfg, norm)
+    assert entry.passed == (threshold is None)
 
 
 def test_verify_theorems_conditioned_instances_qualify(tmp_path):

@@ -279,11 +279,29 @@ def test_exact_projector_stack_matches_rows(model):
     out = proj(Z)
     rows = np.stack([proj(z) for z in Z])
     assert out.shape == Z.shape
-    assert np.max(np.abs(out - rows)) <= 1e-12 * (1.0 + np.max(np.abs(rows)))
+    assert np.array_equal(out, rows)
 
 
-def test_perturbed_projector_refuses_a_stack():
-    proj = PerturbedProjector(random_lines(3, 5, seed=64), t=0.1, u=0.5, seed=0)
-    with pytest.raises(ModelSetError, match="one vector per call"):
-        proj(np.ones((2, 5)))
-    assert proj(np.ones(5)).shape == (5,)
+@pytest.mark.parametrize("u", [0.0, 0.5])
+def test_perturbed_projector_stack_matches_calls(u):
+    # a stack is the sequence of one-vector calls, bit for bit and draw for
+    # draw: rows off the set draw once each in row order (when u > 0), rows
+    # on the set draw nothing
+    lines = random_lines(4, 6, seed=64)
+    rng = np.random.default_rng(65)
+    Z = rng.standard_normal((40, 6))
+    on_set = [3, 4, 17, 39]
+    Z[on_set] = rng.uniform(0.5, 2.0, (4, 1)) * lines.directions[[0, 1, 2, 3]]
+    stacked = PerturbedProjector(lines, t=0.2, u=u, seed=66)
+    single = PerturbedProjector(lines, t=0.2, u=u, seed=66)
+    out = stacked(Z)
+    assert out.shape == Z.shape
+    assert np.array_equal(out, np.stack([single(z) for z in Z]))
+    assert np.array_equal(stacked(Z[:7]), np.stack([single(z) for z in Z[:7]]))
+    assert np.array_equal(out[on_set], project(lines, Z[on_set]))
+    draws = np.random.default_rng(66)
+    if u > 0:
+        draws.random(len(Z) - len(on_set) + 7 - 2)  # Z[:7] holds 2 on-set rows
+        unflipped = PerturbedProjector(lines, t=0.2, u=0.0, seed=66)(Z)
+        assert np.any(out != unflipped)
+    assert stacked._rng.bit_generator.state == draws.bit_generator.state

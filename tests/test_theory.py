@@ -17,9 +17,12 @@ from gpgd.models import (
 )
 from gpgd.operators import DenseOperator
 from gpgd.theory import (
+    SAMPLE_BLOCK,
     orthogonality_report,
     phi,
+    phi_rows,
     psi,
+    psi_rows,
     radial_sampler,
     restricted_lipschitz_sampled,
     ric_exact_ksparse,
@@ -355,7 +358,7 @@ def test_membership_tolerance_shared_by_report_and_projector():
     seen = []
 
     def recording_exact(z):
-        seen.append(z)
+        seen.extend(np.reshape(z, (-1, lines.n)))  # one entry per row
         return project(lines, z)
 
     rep = orthogonality_report(lines, recording_exact, len(stream), seed=0,
@@ -423,6 +426,174 @@ def test_report_lprime_matches_recomputation():
         assert rep.max_psi == pytest.approx(max_psi, rel=1e-12)
         assert rep.max_phi == pytest.approx(max_phi, rel=1e-12, abs=1e-12)
         assert (max_phi > 0.1) == (u > 0.0)
+
+
+# --- blocked estimators against per-sample reference loops ------------------
+#
+# The estimators draw samples one at a time and evaluate them in blocks of
+# SAMPLE_BLOCK rows. Each reference below is the per-sample loop they
+# replace; the blocked results must equal it bit for bit. 1300 samples
+# leave a partial last block.
+
+NSAMPLES = 1300
+assert NSAMPLES % SAMPLE_BLOCK and NSAMPLES > 2 * SAMPLE_BLOCK
+
+
+def _ric_reference(A, gamma, model, nsamples, seed):
+    m_op = np.eye(A.shape[1]) - gamma * (A.T @ A)
+    rng = np.random.default_rng(seed)
+    series = np.zeros(nsamples)
+    best = 0.0
+    for i in range(nsamples):
+        x1 = sample_member(model, rng)
+        diff = x1 - sample_member(model, rng)
+        norm = np.linalg.norm(diff)
+        if norm > 1e-12:
+            best = max(best, float(np.linalg.norm(m_op @ diff) / norm))
+        series[i] = best
+    return best, series
+
+
+@pytest.mark.parametrize("model", [KSparse(2, 16), random_lines(5, 16, seed=70)])
+@pytest.mark.parametrize("gamma", [0.02, math.nan])  # NaN: every ratio is NaN
+def test_ric_sampled_matches_per_sample_loop(model, gamma):
+    A = np.random.default_rng(71).standard_normal((8, 16))
+    est = ric_sampled(A, gamma, model, NSAMPLES, seed=72)
+    value, series = _ric_reference(A, gamma, model, NSAMPLES, 72)
+    assert est.value == value and np.array_equal(est.series, series)
+    assert est.degenerate == 0
+    assert (value == 0.0) == math.isnan(gamma)
+
+
+def _lipschitz_reference(P, model, nsamples, seed, sampler):
+    rng = np.random.default_rng(seed)
+    best, witness, skipped = 0.0, None, 0
+    series = np.zeros(nsamples)
+    for i in range(nsamples):
+        z = sampler(rng, model.n)
+        x = sample_member(model, rng)
+        dz = np.linalg.norm(z - x)
+        if dz > 1e-12:
+            ratio = float(np.linalg.norm(P(z) - x) / dz)
+            if ratio > best:
+                best, witness = ratio, (z.copy(), x.copy())
+        else:
+            skipped += 1
+        series[i] = best
+    return best, series, witness, skipped
+
+
+def _radial_or_next_member(model):
+    """Radial draws, except that every third call returns the member the
+    estimator draws next (it saves and restores the generator state), so
+    that sample has z == x and is skipped."""
+    radial = radial_sampler()
+    calls = itertools.count()
+
+    def sample(rng, n):
+        if next(calls) % 3:
+            return radial(rng, n)
+        state = rng.bit_generator.state
+        x = sample_member(model, rng)
+        rng.bit_generator.state = state
+        return x
+
+    return sample
+
+
+def _nan_above(threshold, P):
+    """P, but NaN on every point whose first coordinate exceeds threshold."""
+    return lambda Z: np.where(np.asarray(Z)[..., :1] > threshold, np.nan, P(Z))
+
+
+_SPARSE = KSparse(2, 10)
+_LINES = random_lines(5, 8, seed=73)
+_LIPSCHITZ_CASES = {
+    "hard-threshold": (lambda z: hard_threshold(z, 2), _SPARSE, None),
+    "skipped": (lambda z: hard_threshold(z, 2), _SPARSE, _radial_or_next_member),
+    "nan-some": (_nan_above(0.3, lambda z: hard_threshold(z, 2)), _SPARSE,
+                 _radial_or_next_member),
+    "nan-all": (lambda z: np.full(np.shape(z), np.nan), _SPARSE, None),
+    "lines": (ExactProjector(_LINES), _LINES, None),
+    # every ratio is exactly 1: the witness is the first sample
+    "ties": (lambda z: z, _LINES,
+             lambda model: lambda rng, n: sample_member(model, rng)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIPSCHITZ_CASES))
+def test_lipschitz_matches_per_sample_loop(case):
+    P, model, make_sampler = _LIPSCHITZ_CASES[case]
+    samplers = [make_sampler(model) if make_sampler else radial_sampler()
+                for _ in range(2)]
+    est = restricted_lipschitz_sampled(P, model, NSAMPLES, seed=74,
+                                       z_sampler=samplers[0])
+    value, series, witness, skipped = _lipschitz_reference(
+        P, model, NSAMPLES, 74, samplers[1])
+    assert est.value == value and np.array_equal(est.series, series)
+    assert est.degenerate == skipped
+    assert (skipped > 0) == (make_sampler is _radial_or_next_member)
+    if witness is None:
+        assert est.witness is None and case == "nan-all"
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(est.witness, witness))
+    if case == "ties":
+        assert value == 1.0
+
+
+def _report_reference(model, P, nsamples, seed, sampler):
+    """Per-sample draws, membership tests and P calls; psi, phi and the
+    deviation ratio evaluated on blocks of SAMPLE_BLOCK used samples."""
+    rng = np.random.default_rng(seed)
+    used, skipped = [], 0
+    for _ in range(nsamples):
+        z = sampler(rng, model.n)
+        pperp = project(model, z)
+        if np.linalg.norm(z - pperp) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)):
+            skipped += 1
+        else:
+            used.append((z, pperp, P(z)))
+    psi_sum = max_psi = max_phi = lprime = 0.0
+    for start in range(0, len(used), SAMPLE_BLOCK):
+        z_b, pperp_b, p_b = map(np.array, zip(*used[start : start + SAMPLE_BLOCK]))
+        psi_vals, _ = psi_rows(p_b, z_b)
+        phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
+        num, den = pperp_b - p_b, z_b - pperp_b
+        ratios = (np.sqrt(np.einsum("ij,ij->i", num, num))
+                  / np.sqrt(np.einsum("ij,ij->i", den, den)))
+        psi_sum += psi_vals.sum()
+        max_psi = max(max_psi, psi_vals.max())
+        max_phi = max(max_phi, phi_vals.max())
+        lprime = max(lprime, ratios.max())
+    return psi_sum / len(used), max_psi, max_phi, lprime, skipped
+
+
+def _radial_or_on_a_line(lines):
+    """Radial draws, except that every fifth call returns a point on a
+    line, which the report skips: the used samples then fill their blocks
+    across draw boundaries."""
+    radial = radial_sampler()
+    calls = itertools.count()
+
+    def sample(rng, n):
+        i = next(calls)
+        return 1.5 * lines.directions[i % len(lines.directions)] if i % 5 == 0 \
+            else radial(rng, n)
+
+    return sample
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3])
+def test_report_matches_per_sample_loop(u):
+    est = orthogonality_report(
+        _LINES, PerturbedProjector(_LINES, t=0.1, u=u, seed=75), NSAMPLES,
+        seed=76, z_sampler=_radial_or_on_a_line(_LINES))
+    mean_psi, max_psi, max_phi, lprime, skipped = _report_reference(
+        _LINES, PerturbedProjector(_LINES, t=0.1, u=u, seed=75), NSAMPLES, 76,
+        _radial_or_on_a_line(_LINES))
+    assert skipped == NSAMPLES // 5 == est.degenerate
+    assert (est.mean_psi, est.max_psi, est.max_phi, est.lprime_hat) == (
+        mean_psi, max_psi, max_phi, lprime)
 
 
 # --- theorem bounds ----------------------------------------------------------
