@@ -111,6 +111,11 @@ def test_is_member():
     lines = random_lines(4, 6, seed=0)
     z = np.zeros(6)
     assert on_model_set(z, project(lines, z))  # 0 is in every homogeneous set
+    # a stack gets one answer per row, that of its one-vector call
+    Z = np.vstack([z, 2.0 * lines.directions[1], np.ones(6)])
+    inside = on_model_set(Z, project(lines, Z))
+    assert inside.tolist() == [True, True, False]
+    assert inside.tolist() == [on_model_set(r, project(lines, r)) for r in Z]
 
 
 def test_model_validation():
