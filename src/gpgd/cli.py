@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_est.add_argument("--out", default="runs/estimates")
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--samples", type=int, default=20_000)
+    p_est.add_argument("--samples", type=_positive_int, default=20_000)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_verify = sub.add_parser(
@@ -89,15 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--out", default="runs/verify")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--seeds", type=int, default=20,
+    p_verify.add_argument("--seeds", type=_positive_int, default=20,
                           help="number of random instances per suite")
-    p_verify.add_argument("--samples", type=int, default=10_000)
+    p_verify.add_argument("--samples", type=_positive_int, default=10_000)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_report = sub.add_parser("report", help="aggregate result CSVs")
     p_report.add_argument("results_dir")
     p_report.set_defaults(func=_cmd_report)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1: a count of zero
+    would make every sampled check pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -553,6 +553,13 @@ class VerifyConfig:
     lines_dim: int = 8
     t_grid: tuple[float, ...] = (0.05, 0.1, 0.2)
 
+    def __post_init__(self):
+        # zero instances or samples would pass every entry vacuously
+        if self.nseeds < 1:
+            raise ConfigError(f"nseeds must be >= 1, got {self.nseeds}")
+        if self.nsamples < 1:
+            raise ConfigError(f"nsamples must be >= 1, got {self.nsamples}")
+
 
 @dataclass
 class VerificationEntry:
@@ -600,12 +607,13 @@ def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
     excluded), (seed, A, gamma, delta, x_true, rng) with the default step
     size gamma, delta the exact RIC of gamma A^T A over k-sparse secants,
     and a k-sparse x_true drawn from the seed's rng, which goes on to draw
-    any noise."""
+    any noise. The RIC enumeration of an instance stops as soon as its
+    running delta excludes it; a qualifying delta is exact."""
     instances = []
     for seed in range(vcfg.nseeds):
         A, rng = make_instance(vcfg, seed)
         gamma = default_step_size(A)
-        delta = theory.ric_exact_ksparse(A, gamma, vcfg.k).value
+        delta = theory._ric_exact(A, gamma, vcfg.k, beta=_GOLDEN_BETA).value
         if delta * _GOLDEN_BETA < 1.0:
             x_true = sample_member(KSparse(vcfg.k, vcfg.n), rng)
             instances.append((seed, A, gamma, delta, x_true, rng))
@@ -666,21 +674,18 @@ def _stability_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationEn
 def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
     """Per-sample instrumentation of the additive-deviation argument:
     ||P(z) - x|| <= ||P(z) - Pperp(z)|| + ||Pperp(z) - x|| exactly. Samples
-    are drawn one at a time and checked in blocks; the first violating
-    sample is reported."""
+    come in blocks of theory.SAMPLE_BLOCK, each drawn as a radial z block
+    then an x block of line members, and are checked block by block; the
+    first violating sample is reported."""
     lines = random_lines(vcfg.lines, vcfg.lines_dim, _derive_seed(vcfg.seed, 12))
     proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=_derive_seed(vcfg.seed, 13))
     rng = np.random.default_rng(_derive_seed(vcfg.seed, 14))
     sampler = theory.radial_sampler()
-    rows = min(vcfg.nsamples, theory.SAMPLE_BLOCK)
-    Z, X = np.empty((rows, vcfg.lines_dim)), np.empty((rows, vcfg.lines_dim))
     worst = -math.inf
     for start in range(0, vcfg.nsamples, theory.SAMPLE_BLOCK):
         count = min(theory.SAMPLE_BLOCK, vcfg.nsamples - start)
-        z_b, x_b = Z[:count], X[:count]
-        for r in range(count):
-            z_b[r] = sampler(rng, vcfg.lines_dim)
-            x_b[r] = sample_member(lines, rng)
+        z_b = sampler(rng, count, vcfg.lines_dim)
+        x_b = sample_member(lines, rng, count)
         p = proj(z_b)
         pperp = project(lines, z_b)
         lhs = row_norms(p - x_b)

@@ -144,20 +144,39 @@ def on_model_set(z: np.ndarray, pz: np.ndarray):
     return bool(inside) if np.ndim(z) == 1 else inside
 
 
-def sample_member(model, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random element of the model set (Gaussian coefficients)."""
+def sample_member(model, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Draw random elements of the model set (Gaussian coefficients): a
+    block (size, n), one element per row, or one element (n,) when size is
+    None, which is row 0 of the block of 1.
+
+    A block takes a fixed number of generator calls, in this order:
+    KSparse, a (size, n) uniform key block whose k smallest keys per row
+    pick the row's support (a uniform k-subset), then a (size, k) block of
+    values; UnionOfSubspaces, one basis index per row, then a (size, d)
+    block of coefficients with d the widest basis, of which a row uses its
+    basis' leading columns; UnionOfLines, one line index per row, then one
+    coefficient per row.
+    """
+    rows = 1 if size is None else size
     if isinstance(model, KSparse):
-        out = np.zeros(model.n)
-        support = rng.choice(model.n, size=model.k, replace=False)
-        out[support] = rng.standard_normal(model.k)
-        return out
-    if isinstance(model, UnionOfSubspaces):
-        b = model.bases[int(rng.integers(len(model.bases)))]
-        return b @ rng.standard_normal(b.shape[1])
-    if isinstance(model, UnionOfLines):
-        i = int(rng.integers(model.directions.shape[0]))
-        return rng.standard_normal() * model.directions[i]
-    raise ModelSetError(f"cannot sample from {type(model).__name__}")
+        keys = rng.random((rows, model.n))
+        support = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
+        out = np.zeros((rows, model.n))
+        out[np.arange(rows)[:, None], support] = rng.standard_normal((rows, model.k))
+    elif isinstance(model, UnionOfSubspaces):
+        pick = rng.integers(len(model.bases), size=rows)
+        coeffs = rng.standard_normal((rows, max(b.shape[1] for b in model.bases)))
+        out = np.empty((rows, model.n))
+        for j, b in enumerate(model.bases):
+            picked = pick == j
+            # row-by-row matmul: the bits of b @ coefficients for every row
+            out[picked] = np.matmul(b, coeffs[picked, : b.shape[1], None])[..., 0]
+    elif isinstance(model, UnionOfLines):
+        pick = rng.integers(model.directions.shape[0], size=rows)
+        out = rng.standard_normal(rows)[:, None] * model.directions[pick]
+    else:
+        raise ModelSetError(f"cannot sample from {type(model).__name__}")
+    return out[0] if size is None else out
 
 
 def random_lines(count: int, n: int, seed: int) -> UnionOfLines:

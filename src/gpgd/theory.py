@@ -154,18 +154,27 @@ def phi(model, P, z) -> float | None:
 
 def radial_sampler(radius: float = 2.0):
     """Default probe distribution: uniform direction, radius uniform on
-    (0, R). Covers directions uniformly and radii broadly."""
+    (0, R). Covers directions uniformly and radii broadly.
 
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        g = rng.standard_normal(n)
-        norm = math.sqrt(g.dot(g))  # np.linalg.norm's bits, without its overhead
-        while norm == 0.0:
-            g = rng.standard_normal(n)
-            norm = math.sqrt(g.dot(g))
-        r = rng.uniform(0.0, radius)
-        while r == 0.0:
-            r = rng.uniform(0.0, radius)
-        return (r / norm) * g
+    Returns sample(rng, count, n), a (count, n) block of probes drawn by
+    one (count, n) standard-normal call for the directions, then one
+    uniform call for the count radii. Rows with a zero direction norm, and
+    then rows with a zero radius, are redrawn (in row order, one call per
+    pass), so every row is a nonzero point in the open ball.
+    """
+    if not radius > 0.0:
+        raise ValueError(f"radius must be > 0, got {radius}")
+
+    def sample(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+        g = rng.standard_normal((count, n))
+        norms = row_norms(g)
+        while (zero := np.flatnonzero(norms == 0.0)).size:
+            g[zero] = rng.standard_normal((zero.size, n))
+            norms[zero] = row_norms(g[zero])
+        r = rng.uniform(0.0, radius, count)
+        while (zero := np.flatnonzero(r == 0.0)).size:
+            r[zero] = rng.uniform(0.0, radius, zero.size)
+        return (r / norms)[:, None] * g
 
     return sample
 
@@ -223,6 +232,17 @@ def ric_exact_ksparse(A, gamma: float, k: int,
     value is the full enumeration's maximum bit for bit: a maximum does not
     depend on evaluation order, and pruned blocks cannot reach it.
     """
+    return _ric_exact(A, gamma, k, max_supports)
+
+
+def _ric_exact(A, gamma: float, k: int, max_supports: int = 10**6,
+               beta: float | None = None) -> RicEstimate:
+    """ric_exact_ksparse, which see. With beta given, the enumeration also
+    stops as soon as its running value delta gives delta * beta >= 1, the
+    rate at which Theorem 1 gives no guarantee; the returned value is then
+    that running value, a lower bound that already decides the exclusion,
+    not the exact RIC. An instance with delta * beta < 1 enumerates to the
+    end, so its value is exact bit for bit."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     mat = materialize(A)
@@ -256,6 +276,8 @@ def ric_exact_ksparse(A, gamma: float, k: int,
         eigs = np.linalg.eigvalsh(_gram_blocks(gram, picked))
         best = max(best, float(eigs[:, -1].max()))
         evaluated += len(picked)
+        if beta is not None and math.sqrt(max(best, 0.0)) * beta >= 1.0:
+            break
     return RicEstimate(
         value=math.sqrt(max(best, 0.0)),
         method="ExactSparseBruteForce",
@@ -264,15 +286,20 @@ def ric_exact_ksparse(A, gamma: float, k: int,
     )
 
 
-# Samples per block in the sampled estimators: draws stay one at a time, in
-# stream order, and each block is evaluated with one call per projection,
-# membership test and norm. Large enough to amortize those calls, small
-# enough that the block buffers stay a few tens of KB at the sizes the
-# estimators run at.
+# Samples per block in the sampled estimators: each block is drawn with a
+# fixed number of generator calls and evaluated with one call per
+# projection, membership test and norm. Large enough to amortize those
+# calls, small enough that the block buffers stay a few tens of KB at the
+# sizes the estimators run at.
 SAMPLE_BLOCK = 512
 
 # Differences at or below this norm are skipped as degenerate samples.
 _SECANT_GUARD = 1e-12
+
+
+def _check_nsamples(nsamples: int) -> None:
+    if nsamples < 1:
+        raise ValueError(f"nsamples must be >= 1, got {nsamples}")
 
 
 def _raise_running_max(ratios: np.ndarray, best: float, series: np.ndarray):
@@ -296,21 +323,25 @@ def _block_ratios(num: np.ndarray, den: np.ndarray, used: np.ndarray) -> np.ndar
 
 
 def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate:
-    """Monte-Carlo lower bound on the RIC over random secant pairs."""
+    """Monte-Carlo lower bound on the RIC over random secant pairs.
+
+    Samples come in blocks of SAMPLE_BLOCK (fewer in the last): each block
+    draws its x1 block, then its x2 block, by models.sample_member, and
+    sample i is the secant x1[i] - x2[i]. Raises ValueError when nsamples
+    is below 1.
+    """
+    _check_nsamples(nsamples)
     mat = materialize(A)
     n = mat.shape[1]
     m_op = np.eye(n) - gamma * (mat.T @ mat)
     rng = np.random.default_rng(seed)
     series = np.zeros(nsamples)
-    D = np.empty((min(nsamples, SAMPLE_BLOCK), n))
     best = 0.0
     degenerate = 0
     for start in range(0, nsamples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, nsamples - start)
-        diffs = D[:count]
-        for r in range(count):
-            x1 = sample_member(model, rng)
-            diffs[r] = x1 - sample_member(model, rng)
+        x1 = sample_member(model, rng, count)
+        diffs = x1 - sample_member(model, rng, count)
         norms = row_norms(diffs)
         used = norms > _SECANT_GUARD
         degenerate += count - int(np.count_nonzero(used))
@@ -347,25 +378,24 @@ def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
                                  z_sampler=None) -> LipschitzEstimate:
     """Max over samples of ||P(z) - x|| / ||z - x|| with x in the model set.
 
-    Each sample draws z, then x. P takes a stack (b, n) of points, one per
-    row; it is called once per block of samples, on the rows with z != x
-    in sample order.
+    Samples come in blocks of SAMPLE_BLOCK (fewer in the last): each block
+    draws its z block by z_sampler(rng, count, n), which returns (count,
+    n) (radial_sampler() by default), then its x block by
+    models.sample_member. P takes a stack (b, n) of points, one per row;
+    it is called once per block, on the rows with z != x in sample order.
+    Raises ValueError when nsamples is below 1.
     """
+    _check_nsamples(nsamples)
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
-    n = model.n
-    rows = min(nsamples, SAMPLE_BLOCK)
-    Z, X = np.empty((rows, n)), np.empty((rows, n))
     best = 0.0
     witness = None
     degenerate = 0
     series = np.zeros(nsamples)
     for start in range(0, nsamples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, nsamples - start)
-        z_b, x_b = Z[:count], X[:count]
-        for r in range(count):
-            z_b[r] = sampler(rng, n)
-            x_b[r] = sample_member(model, rng)
+        z_b = sampler(rng, count, model.n)
+        x_b = sample_member(model, rng, count)
         dz = row_norms(z_b - x_b)
         used = dz > _SECANT_GUARD
         degenerate += count - int(np.count_nonzero(used))
@@ -403,17 +433,21 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
                          z_sampler=None) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
-    Samples landing in the model set (models.on_model_set) are skipped
-    and counted as degenerate. P takes a stack (b, n) of points, one per
-    row, and is called once per SAMPLE_BLOCK remaining samples (fewer in
-    the last call), in sample order. Undefined psi and phi values
-    contribute zero.
+    Samples are drawn as blocks z_sampler(rng, count, n) of shape (count,
+    n) (radial_sampler() by default), each as large as the pending block of
+    SAMPLE_BLOCK used samples has room for. Samples landing in the model
+    set (models.on_model_set) are skipped and counted as degenerate. P
+    takes a stack (b, n) of points, one per row, and is called once per
+    SAMPLE_BLOCK used samples (fewer in the last call), in sample order.
+    Undefined psi and phi values contribute zero. Raises ValueError when
+    nsamples is below 1.
     """
+    _check_nsamples(nsamples)
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
     n = model.n
     rows = min(nsamples, SAMPLE_BLOCK)
-    draws, Z, Pperp = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n))
+    Z, Pperp = np.empty((rows, n)), np.empty((rows, n))
     # psi sum, then the maxima of psi, phi and the deviation ratio
     totals = np.zeros(4)
     used = degenerate = filled = drawn = 0
@@ -421,9 +455,7 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
         # draw only as many samples as the pending block has room for, so
         # every evaluated block holds exactly `rows` used samples until the
         # last: mean_psi sums over the same blocks whatever is skipped
-        z_d = draws[: min(rows - filled, nsamples - drawn)]
-        for r in range(len(z_d)):
-            z_d[r] = sampler(rng, n)
+        z_d = sampler(rng, min(rows - filled, nsamples - drawn), n)
         drawn += len(z_d)
         pperp_d = project(model, z_d)
         keep = ~on_model_set(z_d, pperp_d)

@@ -307,36 +307,40 @@ def test_verify_theorems_builds_each_instance_once(monkeypatch):
     from gpgd import theory
 
     calls = []
-    original = theory.ric_exact_ksparse
+    original = theory._ric_exact
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(theory, "ric_exact_ksparse", counted)
+    monkeypatch.setattr(theory, "_ric_exact", counted)
     verify_theorems(VerifyConfig(nseeds=2, nsamples=50, seed=0))
     assert len(calls) == 2 * 2
 
 
 def _triangle_reference(vcfg, norm):
     """The per-sample loop behind the theorem2-triangle-chain entry, with
-    its vector norm replaced by norm; returns (passed, details)."""
+    its vector norm replaced by norm; returns (passed, details). Samples
+    are drawn as the entry draws them: per block of SAMPLE_BLOCK, a radial
+    z block, then an x block of line members."""
     seed = experiments._derive_seed
     lines = random_lines(vcfg.lines, vcfg.lines_dim, seed(vcfg.seed, 12))
     proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=seed(vcfg.seed, 13))
     rng = np.random.default_rng(seed(vcfg.seed, 14))
     sampler = experiments.theory.radial_sampler()
+    block = experiments.theory.SAMPLE_BLOCK
     worst = -math.inf
-    for _ in range(vcfg.nsamples):
-        z = sampler(rng, vcfg.lines_dim)
-        x = sample_member(lines, rng)
-        p = proj(z)
-        pperp = project(lines, z)
-        lhs = norm(p - x)
-        rhs = norm(p - pperp) + norm(pperp - x)
-        worst = max(worst, float(lhs - rhs))
-        if lhs > rhs + 1e-12 * (1.0 + rhs):
-            return False, f"violated: lhs={lhs} rhs={rhs} z={z.tolist()}"
+    for start in range(0, vcfg.nsamples, block):
+        count = min(block, vcfg.nsamples - start)
+        zs = sampler(rng, count, vcfg.lines_dim)
+        for z, x in zip(zs, sample_member(lines, rng, count)):
+            p = proj(z)
+            pperp = project(lines, z)
+            lhs = norm(p - x)
+            rhs = norm(p - pperp) + norm(pperp - x)
+            worst = max(worst, float(lhs - rhs))
+            if lhs > rhs + 1e-12 * (1.0 + rhs):
+                return False, f"violated: lhs={lhs} rhs={rhs} z={z.tolist()}"
     return True, f"samples={vcfg.nsamples} worst_gap={worst}"
 
 
@@ -344,8 +348,8 @@ def _triangle_reference(vcfg, norm):
 def test_triangle_entry_matches_per_sample_loop(monkeypatch, threshold):
     # The chain holds for true norms, so the entry passes (None). Tripling
     # the norm of vectors whose first coordinate exceeds the threshold
-    # breaks it on some samples: at seed 0, 26 of 1300 with the first at
-    # sample 7 (1.0), and 4 with the first at 430 (1.4). The blocked entry
+    # breaks it on some samples: at seed 0, 18 of 1300 with the first at
+    # sample 32 (1.0), and 4 with the first at 419 (1.4). The blocked entry
     # must report the first violating sample, as the loop does.
     if threshold is None:
         norm = np.linalg.norm
@@ -357,6 +361,51 @@ def test_triangle_entry_matches_per_sample_loop(monkeypatch, threshold):
     entry = experiments._triangle_entry(vcfg)
     assert (entry.passed, entry.details) == _triangle_reference(vcfg, norm)
     assert entry.passed == (threshold is None)
+
+
+@pytest.mark.parametrize("make_instance", [experiments._gaussian_instance,
+                                           experiments._conditioned_instance],
+                         ids=["gaussian", "conditioned"])
+def test_theorem1_instances_stop_only_to_exclude(monkeypatch, make_instance):
+    # the exact RIC may stop early only once it excludes an instance: the
+    # exclusion decision and every qualifying delta equal those of the full
+    # ric_exact_ksparse, and a qualifying instance decomposes every block
+    # the full enumeration does. At seed 0 every Gaussian instance is
+    # excluded and every conditioned one qualifies.
+    from gpgd import theory
+
+    vcfg = VerifyConfig()
+    full = {}
+    for seed in range(vcfg.nseeds):
+        A, _ = make_instance(vcfg, seed)
+        full[seed] = theory.ric_exact_ksparse(A, default_step_size(A), vcfg.k)
+    evaluated = []
+    original = theory._ric_exact
+
+    def recorded(*args, **kwargs):
+        est = original(*args, **kwargs)
+        evaluated.append(est.evaluated)
+        return est
+
+    monkeypatch.setattr(theory, "_ric_exact", recorded)
+    instances = experiments._theorem1_instances(vcfg, make_instance)
+    got = {seed: delta for seed, _, _, delta, _, _ in instances}
+    assert got == {seed: est.value for seed, est in full.items()
+                   if est.value * experiments._GOLDEN_BETA < 1.0}
+    for seed, est in full.items():
+        if seed in got:
+            assert evaluated[seed] == est.evaluated
+        else:
+            assert evaluated[seed] < est.evaluated
+    assert len(got) == (0 if make_instance is experiments._gaussian_instance
+                        else vcfg.nseeds)
+
+
+@pytest.mark.parametrize("field", ["nseeds", "nsamples"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_verify_config_rejects_empty_sampling(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        VerifyConfig(**{field: value})
 
 
 def test_verify_theorems_conditioned_instances_qualify(tmp_path):
@@ -478,6 +527,23 @@ def test_cli_estimate(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "reports" / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--samples", "0"],
+    ["estimate", "--samples", "-5"],
+    ["verify-theorems", "--samples", "0"],
+    ["verify-theorems", "--samples", "-5"],
+    ["verify-theorems", "--seeds", "0"],
+])
+def test_cli_rejects_empty_sampling(tmp_path, capsys, argv):
+    # zero samples or instances would pass every check vacuously; the flag
+    # is refused by name, with exit code 2, before any output is written
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_theorems_failure_exits_1(monkeypatch, tmp_path):

@@ -222,13 +222,44 @@ def test_residual_orthogonality_subspace_unions():
         assert abs(np.dot(p, z - p)) <= 1e-10 * (1.0 + np.linalg.norm(z) ** 2)
 
 
+_SAMPLED_MODELS = [
+    KSparse(2, 9),
+    random_lines(3, 9, seed=12),
+    UnionOfSubspaces([np.linalg.qr(np.random.default_rng(13).standard_normal((9, d)))[0]
+                      for d in (1, 2, 4)]),
+]
+
+
 def test_sample_member_lands_in_set():
     rng = np.random.default_rng(11)
-    for model in (KSparse(2, 9), random_lines(3, 9, seed=12)):
-        for _ in range(100):
-            x = sample_member(model, rng)
+    for model in _SAMPLED_MODELS:
+        X = sample_member(model, rng, 100)
+        assert X.shape == (100, 9)
+        for x in [*X, sample_member(model, rng)]:
             resid = np.linalg.norm(x - project(model, x))
             assert resid <= 1e-10 * (1.0 + np.linalg.norm(x))
+
+
+def test_sample_member_one_vector_is_block_of_one():
+    for model in _SAMPLED_MODELS:
+        one, block = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(3):
+            x = sample_member(model, one)
+            assert x.shape == (9,)
+            assert np.array_equal(x, sample_member(model, block, 1)[0])
+        assert one.bit_generator.state == block.bit_generator.state
+
+
+def test_ksparse_block_supports_are_uniform():
+    # every row has exactly k nonzero entries, and each index is in a
+    # row's support with frequency k/n, within 5 sigma over 20k rows
+    model, draws = KSparse(3, 10), 20_000
+    X = sample_member(model, np.random.default_rng(15), draws)
+    nonzero = X != 0.0
+    assert np.all(nonzero.sum(axis=1) == model.k)
+    p = model.k / model.n
+    freq = nonzero.mean(axis=0)
+    assert np.all(np.abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / draws))
 
 
 # --- stacks of vectors, one per row --------------------------------------------

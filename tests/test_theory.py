@@ -261,12 +261,72 @@ def test_ric_sampled_series_monotone():
     assert np.all(np.diff(est.series) >= 0.0)
 
 
+@pytest.mark.parametrize("nsamples", [0, -5])
+@pytest.mark.parametrize("estimate", [
+    lambda n: ric_sampled(np.eye(4), 0.5, KSparse(1, 4), n, seed=0),
+    lambda n: restricted_lipschitz_sampled(ExactProjector(KSparse(1, 4)),
+                                           KSparse(1, 4), n, seed=0),
+    lambda n: orthogonality_report(random_lines(2, 4, seed=0),
+                                   ExactProjector(random_lines(2, 4, seed=0)), n,
+                                   seed=0),
+], ids=["ric", "lipschitz", "report"])
+def test_sampled_estimators_reject_empty_sampling(estimate, nsamples):
+    # an empty sample would report a vacuous zero
+    with pytest.raises(ValueError, match="nsamples must be >= 1"):
+        estimate(nsamples)
+
+
+class _ZerosFirst:
+    """Generator stand-in whose first standard_normal block has zero rows 1
+    and 3, and whose first uniform block has zero radii 0 and 3; every call
+    after that comes from a real generator. Records every call."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, shape):
+        out = self._rng.standard_normal(shape)
+        if not self.calls:
+            out[[1, 3]] = 0.0
+        self.calls.append(("standard_normal", shape))
+        return out
+
+    def uniform(self, low, high, size):
+        out = self._rng.uniform(low, high, size)
+        if self.calls[-1][0] != "uniform":
+            out[[0, 3]] = 0.0
+        self.calls.append(("uniform", size))
+        return out
+
+
+def test_radial_sampler_redraws_zero_rows():
+    # one direction block and one radius block; zero directions, then zero
+    # radii, are redrawn for their rows only, and a row is its direction
+    # scaled to its radius
+    fake = _ZerosFirst(0)
+    Z = radial_sampler(2.0)(fake, 5, 3)
+    assert fake.calls == [("standard_normal", (5, 3)), ("standard_normal", (2, 3)),
+                          ("uniform", 5), ("uniform", 2)]
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((5, 3))
+    g[[1, 3]] = rng.standard_normal((2, 3))
+    r = rng.uniform(0.0, 2.0, 5)
+    r[[0, 3]] = rng.uniform(0.0, 2.0, 2)
+    g_norms = np.array([np.linalg.norm(row) for row in g])
+    assert np.array_equal(Z, (r / g_norms)[:, None] * g)
+    norms = np.linalg.norm(Z, axis=1)
+    assert np.all((norms > 0.0) & (norms < 2.0))
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        radial_sampler(0.0)
+
+
 # --- restricted Lipschitz ---------------------------------------------------
 
 
 def test_lipschitz_identity_on_members_is_one():
     model = random_lines(4, 6, seed=13)
-    member_sampler = lambda rng, n: sample_member(model, rng)
+    member_sampler = lambda rng, count, n: sample_member(model, rng, count)
     est = restricted_lipschitz_sampled(
         lambda z: z, model, 500, seed=3, z_sampler=member_sampler
     )
@@ -357,12 +417,15 @@ def test_membership_tolerance_shared_by_report_and_projector():
     feed = iter(stream)
     seen = []
 
+    def feed_block(rng, count, n):
+        return np.array([next(feed) for _ in range(count)])
+
     def recording_exact(z):
         seen.extend(np.reshape(z, (-1, lines.n)))  # one entry per row
         return project(lines, z)
 
     rep = orthogonality_report(lines, recording_exact, len(stream), seed=0,
-                               z_sampler=lambda rng, n: next(feed))
+                               z_sampler=feed_block)
     assert rep.degenerate == len(inside)
     assert len(seen) == len(outside)
     assert all(np.array_equal(a, b) for a, b in zip(seen, outside))
@@ -384,6 +447,24 @@ def _sin2_reference(u, v):
     return float(np.dot(r, r))
 
 
+def _report_stream(model, sampler, rng, nsamples):
+    """The orthogonality report's samples in sample order, drawn in the
+    report's blocks: each draw is as large as the pending block of
+    SAMPLE_BLOCK used samples has room for, and a sample in the model set
+    takes no room."""
+    rows = min(nsamples, SAMPLE_BLOCK)
+    filled = 0
+    stream = []
+    while len(stream) < nsamples:
+        block = sampler(rng, min(rows - filled, nsamples - len(stream)), model.n)
+        stream.extend(block)
+        filled += sum(
+            np.linalg.norm(z - project(model, z)) > MEMBER_TOL * (1.0 + np.linalg.norm(z))
+            for z in block)
+        filled %= rows
+    return stream
+
+
 def test_report_lprime_matches_recomputation():
     # replay the sample stream (same seed, same sampler, a fresh projector
     # with the same seed) and recompute psi, phi and the deviation ratio
@@ -400,8 +481,7 @@ def test_report_lprime_matches_recomputation():
         sampler = radial_sampler()
         best = psi_sum = max_psi = max_phi = 0.0
         used = 0
-        for _ in range(nsamples):
-            z = sampler(rng, 8)
+        for z in _report_stream(lines, sampler, rng, nsamples):
             pperp = project(lines, z)
             dist = np.linalg.norm(z - pperp)
             if dist <= 1e-9 * (1.0 + np.linalg.norm(z)):
@@ -430,13 +510,22 @@ def test_report_lprime_matches_recomputation():
 
 # --- blocked estimators against per-sample reference loops ------------------
 #
-# The estimators draw samples one at a time and evaluate them in blocks of
-# SAMPLE_BLOCK rows. Each reference below is the per-sample loop they
-# replace; the blocked results must equal it bit for bit. 1300 samples
-# leave a partial last block.
+# The estimators draw and evaluate their samples in blocks of SAMPLE_BLOCK
+# rows. Each reference below draws the same blocks but evaluates one
+# sample at a time; the blocked results must equal it bit for bit. 1300
+# samples leave a partial last block.
 
 NSAMPLES = 1300
 assert NSAMPLES % SAMPLE_BLOCK and NSAMPLES > 2 * SAMPLE_BLOCK
+
+
+def _block_pairs(nsamples, draw_first, draw_second):
+    """The sampled estimators' stream: per block of SAMPLE_BLOCK samples
+    (fewer in the last), draw_first(count) then draw_second(count) is
+    drawn; yields their rows as (first, second) one sample at a time."""
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, nsamples - start)
+        yield from zip(draw_first(count), draw_second(count))
 
 
 def _ric_reference(A, gamma, model, nsamples, seed):
@@ -444,9 +533,9 @@ def _ric_reference(A, gamma, model, nsamples, seed):
     rng = np.random.default_rng(seed)
     series = np.zeros(nsamples)
     best = 0.0
-    for i in range(nsamples):
-        x1 = sample_member(model, rng)
-        diff = x1 - sample_member(model, rng)
+    draw = lambda count: sample_member(model, rng, count)
+    for i, (x1, x2) in enumerate(_block_pairs(nsamples, draw, draw)):
+        diff = x1 - x2
         norm = np.linalg.norm(diff)
         if norm > 1e-12:
             best = max(best, float(np.linalg.norm(m_op @ diff) / norm))
@@ -469,9 +558,9 @@ def _lipschitz_reference(P, model, nsamples, seed, sampler):
     rng = np.random.default_rng(seed)
     best, witness, skipped = 0.0, None, 0
     series = np.zeros(nsamples)
-    for i in range(nsamples):
-        z = sampler(rng, model.n)
-        x = sample_member(model, rng)
+    pairs = _block_pairs(nsamples, lambda count: sampler(rng, count, model.n),
+                         lambda count: sample_member(model, rng, count))
+    for i, (z, x) in enumerate(pairs):
         dz = np.linalg.norm(z - x)
         if dz > 1e-12:
             ratio = float(np.linalg.norm(P(z) - x) / dz)
@@ -484,19 +573,23 @@ def _lipschitz_reference(P, model, nsamples, seed, sampler):
 
 
 def _radial_or_next_member(model):
-    """Radial draws, except that every third call returns the member the
-    estimator draws next (it saves and restores the generator state), so
-    that sample has z == x and is skipped."""
+    """Radial blocks, except that every third sample is the member the
+    estimator draws next (the sampler peeks at the next member block and
+    restores the generator state), so that sample has z == x and is
+    skipped."""
     radial = radial_sampler()
-    calls = itertools.count()
+    drawn = 0
 
-    def sample(rng, n):
-        if next(calls) % 3:
-            return radial(rng, n)
+    def sample(rng, count, n):
+        nonlocal drawn
+        Z = radial(rng, count, n)
         state = rng.bit_generator.state
-        x = sample_member(model, rng)
+        X = sample_member(model, rng, count)
         rng.bit_generator.state = state
-        return x
+        same = np.arange(drawn, drawn + count) % 3 == 0
+        Z[same] = X[same]
+        drawn += count
+        return Z
 
     return sample
 
@@ -517,7 +610,7 @@ _LIPSCHITZ_CASES = {
     "lines": (ExactProjector(_LINES), _LINES, None),
     # every ratio is exactly 1: the witness is the first sample
     "ties": (lambda z: z, _LINES,
-             lambda model: lambda rng, n: sample_member(model, rng)),
+             lambda model: lambda rng, count, n: sample_member(model, rng, count)),
 }
 
 
@@ -542,12 +635,12 @@ def test_lipschitz_matches_per_sample_loop(case):
 
 
 def _report_reference(model, P, nsamples, seed, sampler):
-    """Per-sample draws, membership tests and P calls; psi, phi and the
-    deviation ratio evaluated on blocks of SAMPLE_BLOCK used samples."""
+    """The report's draws, then per-sample membership tests and P calls;
+    psi, phi and the deviation ratio evaluated on blocks of SAMPLE_BLOCK
+    used samples."""
     rng = np.random.default_rng(seed)
     used, skipped = [], 0
-    for _ in range(nsamples):
-        z = sampler(rng, model.n)
+    for z in _report_stream(model, sampler, rng, nsamples):
         pperp = project(model, z)
         if np.linalg.norm(z - pperp) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)):
             skipped += 1
@@ -569,16 +662,20 @@ def _report_reference(model, P, nsamples, seed, sampler):
 
 
 def _radial_or_on_a_line(lines):
-    """Radial draws, except that every fifth call returns a point on a
-    line, which the report skips: the used samples then fill their blocks
-    across draw boundaries."""
+    """Radial blocks, except that every fifth sample is a point on a line,
+    which the report skips: the used samples then fill their blocks across
+    draw boundaries."""
     radial = radial_sampler()
-    calls = itertools.count()
+    drawn = 0
 
-    def sample(rng, n):
-        i = next(calls)
-        return 1.5 * lines.directions[i % len(lines.directions)] if i % 5 == 0 \
-            else radial(rng, n)
+    def sample(rng, count, n):
+        nonlocal drawn
+        Z = radial(rng, count, n)
+        i = np.arange(drawn, drawn + count)
+        on_line = i % 5 == 0
+        Z[on_line] = 1.5 * lines.directions[i[on_line] % len(lines.directions)]
+        drawn += count
+        return Z
 
     return sample
 
@@ -646,9 +743,8 @@ def test_triangle_chain_per_sample():
     proj = PerturbedProjector(lines, t=0.3, u=0.0, seed=19)
     rng = np.random.default_rng(20)
     sampler = radial_sampler()
-    for _ in range(2000):
-        z = sampler(rng, 8)
-        x = sample_member(lines, rng)
+    for z, x in _block_pairs(2000, lambda count: sampler(rng, count, 8),
+                             lambda count: sample_member(lines, rng, count)):
         p = proj(z)
         pperp = project(lines, z)
         lhs = np.linalg.norm(p - x)
