@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,8 +48,6 @@ __all__ = [
     "adam_step",
     "train",
     "history_to_csv",
-    "stochastic_gradient_unbiasedness_check",
-    "UnbiasednessReport",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_train_key",
@@ -437,18 +435,24 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
     gradient an unbiased estimate of the regularized loss gradient.
 
     With lam > 0 the inputs and the z batch go through one forward and one
-    backward pass as stacked rows. The gradient is a flat vector in the
-    parameter layout (see DenseNet.layer_views); it is the network's own
-    buffer, overwritten by the next call on the same network.
+    backward pass as stacked rows. At lam = 0 no term reads z, and
+    z_batch may be None. The gradient is a flat vector in the parameter
+    layout (see DenseNet.layer_views); it is the network's own buffer,
+    overwritten by the next call on the same network.
     """
     X = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
-    if X.shape[0] != Z.shape[0]:
-        raise ValueError(
-            f"data batch ({X.shape[0]}) and z batch ({Z.shape[0]}) sizes differ"
-        )
-    if X.shape[1] != net.n or Z.shape[1] != net.n:
-        raise ValueError(f"batch width {X.shape[1]}/{Z.shape[1]}, net expects {net.n}")
+    if X.shape[1] != net.n:
+        raise ValueError(f"batch width {X.shape[1]}, net expects {net.n}")
+    if z_batch is not None:
+        Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
+        if X.shape[0] != Z.shape[0]:
+            raise ValueError(
+                f"data batch ({X.shape[0]}) and z batch ({Z.shape[0]}) sizes differ"
+            )
+        if Z.shape[1] != net.n:
+            raise ValueError(f"z batch width {Z.shape[1]}, net expects {net.n}")
+    elif cfg.lam != 0.0:
+        raise ValueError("a z batch is required when lam != 0")
     s = X.shape[0]
     work = _workspace(net, 2 * s if cfg.lam != 0.0 else s)
     inputs = work.acts[0]
@@ -528,10 +532,11 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     Seed-stream layout (reproducibility contract): SeedSequence(cfg.seed)
     spawns, in order, the probe stream (512 fixed uniform points evaluated
     per epoch), the shuffle stream (one permutation per epoch), the z
-    stream (one uniform batch per step), and the PnP noise stream (one
-    seed per step). history holds one record per epoch: full-dataset
-    reconstruction MSE, the probe-set mean orthogonality defect and the
-    number of degenerate probe points.
+    stream (one uniform batch per step, drawn only when lam != 0; no other
+    stream reads it, so skipping it at lam = 0 moves no bit), and the PnP
+    noise stream (one seed per step). history holds one record per epoch:
+    full-dataset reconstruction MSE, the probe-set mean orthogonality
+    defect and the number of degenerate probe points.
     """
     items = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
     if items.shape[0] < 1:
@@ -554,7 +559,7 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
         for step, start in enumerate(range(0, count, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             xb = items[idx]
-            zb = z_rng.uniform(size=(idx.size, n))
+            zb = z_rng.uniform(size=(idx.size, n)) if cfg.lam != 0.0 else None
             noise_seed = (
                 int(noise_rng.integers(2**63)) if cfg.mode == "PnP" else 0
             )
@@ -584,94 +589,6 @@ def history_to_csv(history, path) -> None:
                 f"{rec.epoch},{repr(rec.data_loss)},{repr(rec.probe_mean_psi)},"
                 f"{rec.probe_degenerate}\n"
             )
-
-
-@dataclass
-class UnbiasednessReport:
-    trials: int
-    n_params: int
-    frac_within_4se: float
-    max_abs_z: float
-    zscores: np.ndarray = field(repr=False)
-
-
-def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
-                                           cfg: TrainConfig, trials: int,
-                                           mc_points: int = 100_000,
-                                           seed: int = 0) -> UnbiasednessReport:
-    """Check E[stochastic gradient] against a high-precision reference.
-
-    Reference = full-batch data gradient + lam * Monte-Carlo penalty
-    gradient over mc_points uniform draws. Each trial draws batch_size
-    dataset items without replacement plus batch_size fresh z points.
-    z-scores use the combined standard error of the trial mean and the
-    Monte-Carlo reference (both are noisy estimates of the same vector).
-    Supports AE mode only: the denoiser data term carries its own noise
-    expectation, which this check does not model.
-    """
-    if cfg.mode != "AE":
-        raise ValueError("unbiasedness check supports AE mode only")
-    items = np.atleast_2d(np.asarray(dataset, dtype=np.float64))
-    count = items.shape[0]
-    if cfg.batch_size > count:
-        raise ValueError("batch_size exceeds dataset size")
-    n = net.n
-    n_params = net.n_params()
-    rng = np.random.default_rng(seed)
-
-    # Full-batch data gradient (exact part of the reference).
-    work = _workspace(net, count)
-    work.acts[0][...] = items
-    data_flat = _backprop(net, work, items, 0.0)[2].copy()
-
-    # Monte-Carlo penalty gradient, chunked to estimate its own error: each
-    # chunk is all z rows, scaled to the chunk mean.
-    if cfg.lam != 0.0:
-        n_chunks = 200
-        per_chunk = max(mc_points // n_chunks, 1)
-        work = _workspace(net, per_chunk)
-        no_data = np.empty((0, n))
-        chunk_arr = np.empty((n_chunks, n_params))
-        for c in range(n_chunks):
-            work.acts[0][...] = rng.uniform(size=(per_chunk, n))
-            chunk_arr[c] = _backprop(net, work, no_data, 1.0 / per_chunk)[2]
-        sor_ref = cfg.lam * chunk_arr.mean(axis=0)
-        se_ref_sq = cfg.lam**2 * chunk_arr.var(axis=0, ddof=1) / n_chunks
-    else:
-        sor_ref = np.zeros(n_params)
-        se_ref_sq = np.zeros(n_params)
-    reference = data_flat + sor_ref
-
-    full_batch = cfg.batch_size == count
-    # Welford accumulation: exact zero variance when every trial matches
-    # (the shortcut sum-of-squares formula leaves cancellation residue)
-    mean_g = np.zeros(n_params)
-    m2 = np.zeros(n_params)
-    for trial in range(trials):
-        if full_batch:
-            idx = np.arange(count)  # no sampling: trials match the reference
-        else:
-            idx = rng.choice(count, size=cfg.batch_size, replace=False)
-        zb = rng.uniform(size=(cfg.batch_size, n))
-        _, flat = loss_and_grad(net, items[idx], zb, cfg, 0)
-        delta = flat - mean_g
-        mean_g += delta / (trial + 1)
-        m2 += delta * (flat - mean_g)
-    var_g = m2 / max(trials - 1, 1)
-    se_sq = var_g / trials + se_ref_sq
-    diff = mean_g - reference
-    z = np.zeros(n_params)
-    nonzero = se_sq > 0
-    z[nonzero] = diff[nonzero] / np.sqrt(se_sq[nonzero])
-    z[~nonzero] = np.where(diff[~nonzero] == 0.0, 0.0, np.inf)
-    frac = float(np.mean(np.abs(z) <= 4.0)) if trials > 1 else 1.0
-    return UnbiasednessReport(
-        trials=trials,
-        n_params=n_params,
-        frac_within_4se=frac,
-        max_abs_z=float(np.max(np.abs(z))),
-        zscores=z,
-    )
 
 
 _CHECKPOINT_VERSION = 1

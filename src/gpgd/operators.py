@@ -133,11 +133,18 @@ class Blur(LinearOperator):
     """2-D correlation with a kernel under symmetric (mirror) padding.
 
     Gaussian kernels are flip-symmetric, so correlation and convolution
-    coincide for them. A stack of b signals is blurred as one (h, w, b)
-    block of images. The adjoint scatter-adds each padded contribution
-    back to its mirror-source pixel (one bincount over the stack, with
-    row r's indices offset by r * n), which is the exact transpose of the
-    padded correlation.
+    coincide for them. For a k-by-k kernel K the blur of an h-by-w image X
+    factors exactly as F X = sum_a S_a X C_a^T, where S_a is the
+    mirror-padded row shift by a and C_a = sum_b K[a, b] T_b folds the
+    mirror-padded column shifts T_b into one w-by-w matrix; this holds for
+    any kernel, separable or not. `_shifts` stacks the C_a^T into one
+    (k w, w) matrix G, built once. Apply gathers the k mirror-shifted row
+    windows of each image into an (h, k w) block and multiplies it by G;
+    the adjoint multiplies by G^T, adds the k row-shifted (h, w) slabs
+    into a row-padded accumulator and folds its border rows back onto
+    their mirror sources, the transpose by construction. Both use a
+    stacked matmul with one GEMM of h rows per image, so a stack's rows
+    equal the one-signal results bit for bit.
     """
 
     def __init__(self, kernel, shape: tuple[int, int]):
@@ -154,35 +161,45 @@ class Blur(LinearOperator):
         self.shape2d = (h, w)
         self.pad = pad
         self.m = self.n = h * w
-        # Flat source index of every padded pixel under mirror padding.
-        self._pad_index = np.pad(
-            np.arange(h * w).reshape(h, w), pad, mode="symmetric"
-        )
+        k = ker.shape[0]
+        # Mirror source of every padded row and column.
+        src_row = np.pad(np.arange(h), pad, mode="symmetric")
+        src_col = np.pad(np.arange(w), pad, mode="symmetric")
+        # _windows[i * k + a]: source row of output row i's a-th kernel row.
+        self._windows = src_row[np.arange(h)[:, None] + np.arange(k)].ravel()
+        # Padded rows 0..pad-1 and h+pad.. fold back onto these rows.
+        self._top = src_row[:pad]
+        self._bottom = src_row[h + pad :]
+        # _shifts[a * w + c, j] = C_a^T[c, j] = sum of K[a, b] over the b
+        # whose mirrored column src_col[j + b] is c.
+        a, b, j = np.meshgrid(np.arange(k), np.arange(k), np.arange(w),
+                              indexing="ij")
+        shifts = np.zeros((k, w, w))
+        np.add.at(shifts, (a, src_col[j + b], j), ker[a, b])
+        self._shifts = shifts.reshape(k * w, w)
+        # A contiguous copy: the adjoint's matmul runs slower on a .T view.
+        self._shifts_t = np.ascontiguousarray(self._shifts.T)
 
     def _apply(self, x):
         h, w = self.shape2d
-        k = self.kernel.shape[0]
-        # (h + 2 pad, w + 2 pad, b): batch innermost, so each slice-add runs
-        # over rows of w * b contiguous values; one signal is the b = 1 case.
-        padded = x.T[self._pad_index]
-        out = np.zeros((h, w) + padded.shape[2:])
-        for a in range(k):
-            for b in range(k):
-                out += self.kernel[a, b] * padded[a : a + h, b : b + w]
-        return np.ascontiguousarray(out.reshape(self.n, -1).T).reshape(x.shape)
+        # One contiguous (b, h k, w) gather of the row windows, viewed as
+        # (b, h, k w), then one GEMM per image.
+        block = x.reshape(-1, h, w).take(self._windows, axis=1)
+        out = np.matmul(block.reshape(-1, h, self._shifts.shape[0]), self._shifts)
+        return out.reshape(x.shape)
 
     def _adjoint(self, y):
         h, w = self.shape2d
-        k = self.kernel.shape[0]
-        rows = y.reshape(-1, h, w)
-        acc = np.zeros((rows.shape[0], h + 2 * self.pad, w + 2 * self.pad))
+        k, pad = self.kernel.shape[0], self.pad
+        rows = np.matmul(y.reshape(-1, h, w), self._shifts_t)
+        rows = rows.reshape(-1, h, k, w)
+        acc = np.zeros((rows.shape[0], h + 2 * pad, w))
         for a in range(k):
-            for b in range(k):
-                acc[:, a : a + h, b : b + w] += self.kernel[a, b] * rows
-        index = self._pad_index + self.n * np.arange(rows.shape[0])[:, None, None]
-        flat = np.bincount(index.ravel(), weights=acc.ravel(),
-                           minlength=rows.shape[0] * self.n)
-        return flat.reshape(y.shape)
+            acc[:, a : a + h] += rows[:, :, a]
+        out = acc[:, pad : pad + h]
+        out[:, self._top] += acc[:, :pad]
+        out[:, self._bottom] += acc[:, h + pad :]
+        return np.ascontiguousarray(out).reshape(y.shape)
 
 
 class Composition(LinearOperator):

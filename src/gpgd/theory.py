@@ -10,6 +10,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -235,6 +236,20 @@ def ric_exact_ksparse(A, gamma: float, k: int,
     return _ric_exact(A, gamma, k, max_supports)
 
 
+@functools.lru_cache(maxsize=8)
+def _support_table(n: int, s: int) -> np.ndarray:
+    """Every s-subset of range(n) as a read-only (C(n, s), s) array in
+    lexicographic order, built once per (n, s) and shared by every call."""
+    count = math.comb(n, s)
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), s)),
+        dtype=np.min_scalar_type(n - 1),
+        count=count * s,
+    ).reshape(count, s)
+    table.flags.writeable = False
+    return table
+
+
 def _ric_exact(A, gamma: float, k: int, max_supports: int = 10**6,
                beta: float | None = None) -> RicEstimate:
     """ric_exact_ksparse, which see. With beta given, the enumeration also
@@ -255,11 +270,7 @@ def _ric_exact(A, gamma: float, k: int, max_supports: int = 10**6,
         )
     m_op = np.eye(n) - gamma * (mat.T @ mat)
     gram = m_op @ m_op  # symmetric, so M^T M = M^2
-    supports = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), s)),
-        dtype=np.min_scalar_type(n - 1),
-        count=count * s,
-    ).reshape(count, s)
+    supports = _support_table(n, s)
     bounds = np.empty(count)
     for start in range(0, count, _RIC_BOUND_CHUNK):
         blocks = _gram_blocks(gram, supports[start : start + _RIC_BOUND_CHUNK])

@@ -27,7 +27,6 @@ from gpgd.nets import (
     TrainConfig,
     loss_and_grad,
     make_net,
-    stochastic_gradient_unbiasedness_check,
     train,
 )
 from gpgd.operators import (
@@ -48,6 +47,7 @@ from gpgd.theory import (
     theorem1_bound,
     theorem3_bound,
 )
+from unbiasedness import stochastic_gradient_unbiasedness_check
 
 BETA_SPARSE = 1.618  # stated constant for the sparse projection
 GOLDEN = math.sqrt((3.0 + math.sqrt(5.0)) / 2.0)

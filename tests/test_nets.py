@@ -21,10 +21,10 @@ from gpgd.nets import (
     make_net,
     save_checkpoint,
     sor_value,
-    stochastic_gradient_unbiasedness_check,
     train,
 )
 from gpgd.theory import psi
+from unbiasedness import stochastic_gradient_unbiasedness_check
 
 
 def identity_net(n):
@@ -460,6 +460,43 @@ def test_train_replay_oracle():
             _, grads = loss_and_grad(replica, data[idx], zb, cfg, 0)
             adam_step(replica, grads, state, cfg.tau, *cfg.adam)
     assert np.array_equal(trained.params_vector(), replica.params_vector())
+
+
+@pytest.mark.parametrize("mode", ["AE", "PnP"])
+def test_train_lambda_zero_matches_replay_that_draws_z(mode):
+    # at lam = 0 train skips the z draw; a replay that still draws a z
+    # batch every step and passes it in gives the same bits
+    data = np.random.default_rng(18).uniform(0, 1, (6, 4))
+    cfg = TrainConfig(lam=0.0, tau=0.01, epochs=3, batch_size=4, seed=78,
+                      mode=mode, xi=0.1)
+    trained, _ = train(make_net((4, 3, 4), seed=16), data, cfg)
+
+    replica = make_net((4, 3, 4), seed=16)
+    _, shuffle_ss, z_ss, noise_ss = np.random.SeedSequence(78).spawn(4)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    z_rng = np.random.default_rng(z_ss)
+    noise_rng = np.random.default_rng(noise_ss)
+    state = adam_state_for(replica)
+    for _ in range(3):
+        perm = shuffle_rng.permutation(6)
+        for start in (0, 4):
+            idx = perm[start : start + 4]
+            zb = z_rng.uniform(size=(idx.size, 4))
+            noise_seed = int(noise_rng.integers(2**63)) if mode == "PnP" else 0
+            _, grads = loss_and_grad(replica, data[idx], zb, cfg, noise_seed)
+            adam_step(replica, grads, state, cfg.tau, *cfg.adam)
+    assert np.array_equal(trained.params_vector(), replica.params_vector())
+
+
+def test_loss_without_z_batch_only_at_lambda_zero():
+    net = make_net((3, 2, 3), seed=19)
+    X = np.random.default_rng(19).uniform(0, 1, (2, 3))
+    loss, grad = loss_and_grad(net, X, None, TrainConfig(lam=0.0))
+    grad = grad.copy()
+    loss_z, grad_z = loss_and_grad(net, X, np.ones((2, 3)), TrainConfig(lam=0.0))
+    assert loss == loss_z and np.array_equal(grad, grad_z)
+    with pytest.raises(ValueError):
+        loss_and_grad(net, X, None, TrainConfig(lam=0.1))
 
 
 def test_train_rejects_out_of_range_data():

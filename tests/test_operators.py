@@ -56,6 +56,7 @@ def all_operator_kinds():
         make_superres_operator((8, 8), 2, kernel),
         make_inpainting_operator(30, 0.4, seed=7),
         Composition([PixelMask([1, 3], n=4), DenseOperator(rng.standard_normal((4, 6)))]),
+        Blur(rng.standard_normal((5, 5)), (2, 7)),
     ]
     return ops
 
@@ -200,7 +201,7 @@ def test_subsample_takes_top_left():
     assert np.array_equal(op.apply(x), [0.0, 2.0, 8.0, 10.0])
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_adjoint_identity_all_kinds(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(100 + op_index)
@@ -212,7 +213,7 @@ def test_adjoint_identity_all_kinds(op_index):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_linearity_all_kinds(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(200 + op_index)
@@ -225,7 +226,7 @@ def test_linearity_all_kinds(op_index):
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_dense_materialization_equality(op_index):
     op = all_operator_kinds()[op_index]
     dense = op.to_dense()
@@ -252,6 +253,37 @@ def test_composition_dims_must_chain():
         Composition([DenseOperator(np.zeros((2, 3))), DenseOperator(np.zeros((2, 3)))])
 
 
+def _np_pad_blur_oracle(x_img, kernel):
+    """Correlation by explicit loops over an np.pad(mode="symmetric") image."""
+    h, w = x_img.shape
+    k = kernel.shape[0]
+    padded = np.pad(x_img, k // 2, mode="symmetric")
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            out[i, j] = np.sum(kernel * padded[i : i + k, j : j + k])
+    return out
+
+
+def test_blur_nonsymmetric_kernel_with_pad_equal_to_height():
+    # pad == min(h, w) == 2: every padded row is a mirror of an image row,
+    # and a non-symmetric kernel tells correlation from convolution
+    rng = np.random.default_rng(17)
+    kernel = rng.standard_normal((5, 5))
+    h, w = 2, 7
+    op = Blur(kernel, (h, w))
+    oracle = np.stack(
+        [_np_pad_blur_oracle(e.reshape(h, w), kernel).reshape(-1) for e in np.eye(h * w)],
+        axis=1,
+    )
+    X = rng.standard_normal((6, h * w))
+    Y = rng.standard_normal((6, h * w))
+    assert np.max(np.abs(op.apply(X) - X @ oracle.T)) <= 1e-13
+    assert np.max(np.abs(op.adjoint(Y) - Y @ oracle)) <= 1e-13
+    assert np.array_equal(op.apply(X), np.stack([op.apply(x) for x in X]))
+    assert np.array_equal(op.adjoint(Y), np.stack([op.adjoint(y) for y in Y]))
+
+
 def test_blur_kernel_too_large_rejected():
     with pytest.raises(OperatorError):
         Blur(gaussian_blur_kernel(7, 1.0), (2, 2))
@@ -271,10 +303,11 @@ def stackable_kinds():
         Blur(gaussian_blur_kernel(3, 0.8), (4, 4)),
         make_superres_operator((8, 8), 2, kernel),
         Composition([make_inpainting_operator(36, 0.5, seed=4), Blur(kernel, (6, 6))]),
+        Blur(np.random.default_rng(8).standard_normal((5, 5)), (2, 7)),
     ]
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_stack_rows_equal_one_signal_results(op_index):
     op = stackable_kinds()[op_index]
     rng = np.random.default_rng(400 + op_index)
@@ -287,7 +320,7 @@ def test_stack_rows_equal_one_signal_results(op_index):
         assert np.array_equal(ATY, np.stack([op.adjoint(y) for y in Y]))
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_adjoint_identity_on_a_stack(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(500 + op_index)
@@ -322,7 +355,7 @@ def _columnwise_dense(op):
     return cols
 
 
-@pytest.mark.parametrize("op_index", range(6))
+@pytest.mark.parametrize("op_index", range(7))
 def test_materialize_equals_columnwise_construction(op_index):
     op = all_operator_kinds()[op_index]
     dense = materialize(op)

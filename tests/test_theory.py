@@ -152,6 +152,24 @@ def test_ric_exact_combinatorial_guard():
         ric_exact_ksparse(np.eye(64), 1.0, 8, max_supports=1000)
 
 
+def test_support_table_built_once_and_read_only():
+    from gpgd import theory
+
+    A, gamma = _gaussian_operator(3, m=6, n=9)
+    first = theory.ric_exact_ksparse(A, gamma, 2)
+    table = theory._support_table(9, 4)
+    assert theory._support_table(9, 4) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert np.array_equal(table, np.array(list(itertools.combinations(range(9), 4))))
+    hits = theory._support_table.cache_info().hits
+    second = theory.ric_exact_ksparse(A, gamma, 2)
+    assert theory._support_table.cache_info().hits == hits + 1
+    assert second == first
+    assert first.value == _ric_full_enumeration(A, gamma, 2)
+
+
 def _ric_full_enumeration(A, gamma, k):
     """Reference: top eigenvalue of (M^2)[S, S] for every support S, by
     eigvalsh, no pruning; returns the RIC the way the library does."""
