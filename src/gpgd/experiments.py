@@ -72,6 +72,7 @@ __all__ = [
     "VerificationEntry",
     "VerificationReport",
     "verify_theorems",
+    "estimate_constants",
     "aggregate_report",
 ]
 
@@ -85,7 +86,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description; serializes to key = value text with
-    JSON values for lists and the nested solver block."""
+    JSON values for lists."""
 
     problem: str = "inpainting"  # inpainting | superres | deblur | sparse
     ratio: float = 0.6
@@ -182,9 +183,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key == "gpgd":
-            values.update(_parse_gpgd_block(raw, lineno))
-            continue
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
@@ -192,25 +190,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _parse_gpgd_block(raw: str, lineno: int) -> dict:
-    """Alternative nested spelling: gpgd = {"gamma": null, "max_iters": 150}."""
-    try:
-        block = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {lineno}: bad gpgd JSON block: {exc.msg}") from None
-    if not isinstance(block, dict):
-        raise ConfigError(f"line {lineno}: gpgd block must be a JSON object")
-    out = {}
-    for key, val in block.items():
-        if key == "gamma":
-            out["gpgd_gamma"] = None if val is None else float(val)
-        elif key == "max_iters":
-            out["gpgd_max_iters"] = int(val)
-        else:
-            raise ConfigError(f"line {lineno}: unknown gpgd key {key!r}")
-    return out
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -584,6 +563,12 @@ class VerificationReport:
                 fh.write(f"{e.name},{int(e.passed)},{detail}\n")
 
 
+def _lines(vcfg: VerifyConfig):
+    """The union-of-lines model set that the Theorem 2 and 3 suites and the
+    estimate suite share."""
+    return random_lines(vcfg.lines, vcfg.lines_dim, _derive_seed(vcfg.seed, 12))
+
+
 def _gaussian_instance(vcfg: VerifyConfig, seed: int):
     rng = np.random.default_rng(_derive_seed(vcfg.seed, 10, seed))
     A = DenseOperator(rng.standard_normal((vcfg.m, vcfg.n)))
@@ -613,7 +598,7 @@ def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
     for seed in range(vcfg.nseeds):
         A, rng = make_instance(vcfg, seed)
         gamma = default_step_size(A)
-        delta = theory._ric_exact(A, gamma, vcfg.k, beta=_GOLDEN_BETA).value
+        delta = theory.ric_exact_ksparse(A, gamma, vcfg.k, beta=_GOLDEN_BETA).value
         if delta * _GOLDEN_BETA < 1.0:
             x_true = sample_member(KSparse(vcfg.k, vcfg.n), rng)
             instances.append((seed, A, gamma, delta, x_true, rng))
@@ -677,7 +662,7 @@ def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
     come in blocks of theory.SAMPLE_BLOCK, each drawn as a radial z block
     then an x block of line members, and are checked block by block; the
     first violating sample is reported."""
-    lines = random_lines(vcfg.lines, vcfg.lines_dim, _derive_seed(vcfg.seed, 12))
+    lines = _lines(vcfg)
     proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=_derive_seed(vcfg.seed, 13))
     rng = np.random.default_rng(_derive_seed(vcfg.seed, 14))
     sampler = theory.radial_sampler()
@@ -705,16 +690,23 @@ def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
     )
 
 
+def _perturbed_reports(vcfg: VerifyConfig):
+    """Yield (t, orthogonality report) for each tangential magnitude t of
+    t_grid: the perturbed projector onto the shared lines against the exact
+    one, over nsamples radial probes."""
+    lines = _lines(vcfg)
+    for t in vcfg.t_grid:
+        proj = PerturbedProjector(lines, t=t, u=0.0, seed=_derive_seed(vcfg.seed, 15))
+        yield t, theory.orthogonality_report(
+            lines, proj, vcfg.nsamples, _derive_seed(vcfg.seed, 16)
+        )
+
+
 def _lprime_entries(vcfg: VerifyConfig) -> list[VerificationEntry]:
     """Sampled deviation ratio against the orthogonality-based bound with
     10%-inflated sampled sups, for each tangential magnitude."""
-    lines = random_lines(vcfg.lines, vcfg.lines_dim, _derive_seed(vcfg.seed, 12))
     entries = []
-    for t in vcfg.t_grid:
-        proj = PerturbedProjector(lines, t=t, u=0.0, seed=_derive_seed(vcfg.seed, 15))
-        report = theory.orthogonality_report(
-            lines, proj, vcfg.nsamples, _derive_seed(vcfg.seed, 16)
-        )
+    for t, report in _perturbed_reports(vcfg):
         bound = theory.theorem3_bound(
             min(1.1 * report.max_psi, 0.999999), 1.1 * report.max_phi
         )
@@ -737,7 +729,7 @@ def _lprime_entries(vcfg: VerifyConfig) -> list[VerificationEntry]:
 
 
 def _exact_projector_entry(vcfg: VerifyConfig) -> VerificationEntry:
-    lines = random_lines(vcfg.lines, vcfg.lines_dim, _derive_seed(vcfg.seed, 12))
+    lines = _lines(vcfg)
     report = theory.orthogonality_report(
         lines, ExactProjector(lines), vcfg.nsamples, _derive_seed(vcfg.seed, 17)
     )
@@ -777,6 +769,49 @@ def verify_theorems(vcfg: VerifyConfig | None = None,
         out.mkdir(parents=True, exist_ok=True)
         report.to_csv(out / "theorem_report.csv")
     return report
+
+
+def estimate_constants(vcfg: VerifyConfig | None = None) -> list[tuple[str, str, str]]:
+    """The constants behind the theorems, measured on verify's instances:
+    the 9 (quantity, instance, value) records of estimates.csv, in order.
+
+    They are the exact and the sampled RIC of gamma A^T A on the first
+    Gaussian instance, the sampled restricted Lipschitz constant of hard
+    thresholding at k = 1, 2, 3 and of the exact projection onto the
+    shared lines, and, for each t of t_grid, the sampled orthogonality sups
+    and deviation ratio of the theorem-3 suite's report. Each sampled RIC
+    and Lipschitz estimate draws nsamples samples from a stream seeded by
+    a tag of its own. Values are written with repr, so they parse back bit
+    for bit.
+    """
+    vcfg = vcfg or VerifyConfig()
+    A, _ = _gaussian_instance(vcfg, 0)
+    gamma = default_step_size(A)
+    ric = f"{vcfg.m}x{vcfg.n} gaussian k={vcfg.k}"
+    exact = theory.ric_exact_ksparse(A, gamma, vcfg.k)
+    sampled = theory.ric_sampled(A, gamma, KSparse(vcfg.k, vcfg.n), vcfg.nsamples,
+                                 _derive_seed(vcfg.seed, 18))
+    records = [("ric_exact", ric, repr(exact.value)),
+               ("ric_sampled", ric, repr(sampled.value))]
+    for k in (1, 2, 3):
+        model = KSparse(k, 16)
+        est = theory.restricted_lipschitz_sampled(
+            ExactProjector(model), model, vcfg.nsamples, _derive_seed(vcfg.seed, 19, k)
+        )
+        records.append(("beta_hat", f"hard-threshold n={model.n} k={k}", repr(est.value)))
+    lines = _lines(vcfg)
+    est = theory.restricted_lipschitz_sampled(
+        ExactProjector(lines), lines, vcfg.nsamples, _derive_seed(vcfg.seed, 20)
+    )
+    records.append(("beta_hat", "union-of-lines exact", repr(est.value)))
+    for t, report in _perturbed_reports(vcfg):
+        records.append((
+            "orthogonality",
+            f"perturbed t={t:g}",
+            f"max_psi={report.max_psi!r};max_phi={report.max_phi!r};"
+            f"lprime_hat={report.lprime_hat!r}",
+        ))
+    return records
 
 
 # ---------------------------------------------------------------------------

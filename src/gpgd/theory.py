@@ -216,26 +216,6 @@ def _gram_blocks(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return gram[supports[:, :, None], supports[:, None, :]]
 
 
-def ric_exact_ksparse(A, gamma: float, k: int,
-                      max_supports: int = 10**6) -> RicEstimate:
-    """Exact RIC of gamma A^T A over the k-sparse secant set.
-
-    Differences of k-sparse vectors are 2k-sparse, so the constant is the
-    max over supports S (|S| = min(2k, n)) of the spectral norm of the full
-    column submatrix M[:, S] of M = I - gamma A^T A. The full Euclidean
-    norm of M w matters, not just its restriction to S, so the Gram matrix
-    (M^2)[S, S] is the object whose top eigenvalue is enumerated.
-
-    Bound and prune: every block's top eigenvalue is bounded by the smaller
-    of its largest absolute row sum (Gershgorin) and its Frobenius norm,
-    and blocks are eigendecomposed in decreasing-bound order until the
-    next bound falls below the best eigenvalue by the relative margin. The
-    value is the full enumeration's maximum bit for bit: a maximum does not
-    depend on evaluation order, and pruned blocks cannot reach it.
-    """
-    return _ric_exact(A, gamma, k, max_supports)
-
-
 @functools.lru_cache(maxsize=8)
 def _support_table(n: int, s: int) -> np.ndarray:
     """Every s-subset of range(n) as a read-only (C(n, s), s) array in
@@ -250,14 +230,30 @@ def _support_table(n: int, s: int) -> np.ndarray:
     return table
 
 
-def _ric_exact(A, gamma: float, k: int, max_supports: int = 10**6,
-               beta: float | None = None) -> RicEstimate:
-    """ric_exact_ksparse, which see. With beta given, the enumeration also
-    stops as soon as its running value delta gives delta * beta >= 1, the
-    rate at which Theorem 1 gives no guarantee; the returned value is then
-    that running value, a lower bound that already decides the exclusion,
-    not the exact RIC. An instance with delta * beta < 1 enumerates to the
-    end, so its value is exact bit for bit."""
+def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
+                      beta: float | None = None) -> RicEstimate:
+    """Exact RIC of gamma A^T A over the k-sparse secant set.
+
+    Differences of k-sparse vectors are 2k-sparse, so the constant is the
+    max over supports S (|S| = min(2k, n)) of the spectral norm of the full
+    column submatrix M[:, S] of M = I - gamma A^T A. The full Euclidean
+    norm of M w matters, not just its restriction to S, so the Gram matrix
+    (M^2)[S, S] is the object whose top eigenvalue is enumerated.
+
+    Bound and prune: every block's top eigenvalue is bounded by the smaller
+    of its largest absolute row sum (Gershgorin) and its Frobenius norm,
+    and blocks are eigendecomposed in decreasing-bound order until the
+    next bound falls below the best eigenvalue by the relative margin. The
+    value is the full enumeration's maximum bit for bit: a maximum does not
+    depend on evaluation order, and pruned blocks cannot reach it.
+
+    Early exit: with beta given, the enumeration also stops as soon as its
+    running value delta gives delta * beta >= 1, the rate at which Theorem
+    1 gives no guarantee. The returned value is then that running value, a
+    lower bound that already decides the exclusion, not the exact RIC. An
+    instance with delta * beta < 1 enumerates to the end, so its value is
+    exact bit for bit.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     mat = materialize(A)

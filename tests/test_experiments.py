@@ -14,6 +14,7 @@ from gpgd.experiments import (
     config_from_text,
     config_hash,
     config_to_text,
+    estimate_constants,
     load_config_dataset,
     run_experiment,
     train_priors,
@@ -78,23 +79,22 @@ def test_config_roundtrip_with_gamma_set(tmp_path):
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("problem = inpainting\nwombat = 3\n")
+
+
+def test_config_nested_gpgd_block():
+    # gpgd_gamma and gpgd_max_iters have one spelling: a nested gpgd block
+    # is an unknown key like any other
+    for text in ('problem = sparse\ngpgd = {"gamma": 0.25, "max_iters": 99}\n',
+                 'gpgd = {"step": 1}\n'):
+        with pytest.raises(ConfigError, match="unknown key 'gpgd'"):
+            config_from_text(text)
 
 
 def test_config_rejects_bad_value():
     with pytest.raises(ConfigError):
         config_from_text("ratio = all-of-them\n")
-
-
-def test_config_nested_gpgd_block():
-    cfg = config_from_text(
-        "problem = sparse\ngpgd = {\"gamma\": 0.25, \"max_iters\": 99}\n"
-    )
-    assert cfg.gpgd_gamma == 0.25
-    assert cfg.gpgd_max_iters == 99
-    with pytest.raises(ConfigError):
-        config_from_text('gpgd = {"step": 1}\n')
 
 
 def test_config_validation():
@@ -307,13 +307,13 @@ def test_verify_theorems_builds_each_instance_once(monkeypatch):
     from gpgd import theory
 
     calls = []
-    original = theory._ric_exact
+    original = theory.ric_exact_ksparse
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(theory, "_ric_exact", counted)
+    monkeypatch.setattr(theory, "ric_exact_ksparse", counted)
     verify_theorems(VerifyConfig(nseeds=2, nsamples=50, seed=0))
     assert len(calls) == 2 * 2
 
@@ -380,14 +380,14 @@ def test_theorem1_instances_stop_only_to_exclude(monkeypatch, make_instance):
         A, _ = make_instance(vcfg, seed)
         full[seed] = theory.ric_exact_ksparse(A, default_step_size(A), vcfg.k)
     evaluated = []
-    original = theory._ric_exact
+    original = theory.ric_exact_ksparse
 
     def recorded(*args, **kwargs):
         est = original(*args, **kwargs)
         evaluated.append(est.evaluated)
         return est
 
-    monkeypatch.setattr(theory, "_ric_exact", recorded)
+    monkeypatch.setattr(theory, "ric_exact_ksparse", recorded)
     instances = experiments._theorem1_instances(vcfg, make_instance)
     got = {seed: delta for seed, _, _, delta, _, _ in instances}
     assert got == {seed: est.value for seed, est in full.items()
@@ -521,12 +521,58 @@ def test_load_config_dataset_idx_and_csv(tmp_path):
     assert len(ds) == 6 and ds.shape2d == (4, 4)
 
 
+# (quantity, instance) of the estimates.csv lines, in the order the
+# benchmark's estimate check parses them
+ESTIMATE_KEYS = [
+    ("ric_exact", "16x32 gaussian k=2"),
+    ("ric_sampled", "16x32 gaussian k=2"),
+    ("beta_hat", "hard-threshold n=16 k=1"),
+    ("beta_hat", "hard-threshold n=16 k=2"),
+    ("beta_hat", "hard-threshold n=16 k=3"),
+    ("beta_hat", "union-of-lines exact"),
+    ("orthogonality", "perturbed t=0.05"),
+    ("orthogonality", "perturbed t=0.1"),
+    ("orthogonality", "perturbed t=0.2"),
+]
+
+
 def test_cli_estimate(tmp_path):
-    rc = cli.main(
-        ["estimate", "--samples", "300", "--seed", "1", "--out", str(tmp_path)]
-    )
-    assert rc == 0
-    assert (tmp_path / "reports" / "estimates.csv").exists()
+    # the CSV is estimate_constants' records, and their values keep the
+    # bounds the theory gives them: sampled RIC within the exact one, hard
+    # thresholding within the golden-ratio bound
+    for seed in (0, 1):
+        out = tmp_path / str(seed)
+        rc = cli.main(
+            ["estimate", "--samples", "300", "--seed", str(seed), "--out", str(out)]
+        )
+        assert rc == 0
+        records = estimate_constants(VerifyConfig(nsamples=300, seed=seed))
+        lines = (out / "reports" / "estimates.csv").read_text(encoding="ascii")
+        assert lines.splitlines() == ["quantity,instance,value",
+                                      *(",".join(r) for r in records)]
+        assert [(q, i) for q, i, _ in records] == ESTIMATE_KEYS
+        values = [float(v) for _, _, v in records[:6]]
+        assert values[1] <= values[0]
+        assert all(v <= experiments._GOLDEN_BETA for v in values[2:5])
+
+
+def test_estimate_probes_miss_the_lines(monkeypatch, tmp_path):
+    # the lines model and the probe streams have seeds of their own, so no
+    # probe of gpgd estimate's orthogonality reports lands on a line: at
+    # seed 0 none of the 20,000 per report is skipped as degenerate (a
+    # shared seed made the first 5 probes the line directions themselves)
+    from gpgd import theory
+
+    reports = []
+    original = theory.orthogonality_report
+
+    def recorded(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(theory, "orthogonality_report", recorded)
+    assert cli.main(["estimate", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert [(r.samples, r.degenerate) for r in reports] == [(20_000, 0)] * 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import gpgd
 
 PACKAGE_DIR = Path(gpgd.__file__).parent
@@ -27,3 +29,39 @@ def test_package_imports_are_module_exports():
         for alias in node.names:
             assert hasattr(gpgd, alias.asname or alias.name)
             assert alias.name in mod.__all__, f"gpgd.{node.module}.{alias.name}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports that nothing else in
+    the module reads, counting a name listed in __all__ as read."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(set(bound) - used)
+
+
+def test_no_module_keeps_an_unused_import():
+    # a computation moved to another module must take its imports along
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the package's exports
+            continue
+        unused = _unused_imports(ast.parse(path.read_text()))
+        assert not unused, f"gpgd/{path.name} imports {unused} and never uses them"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert gpgd.__version__ == tomllib.load(fh)["project"]["version"]
