@@ -40,8 +40,9 @@ class Dataset:
         self.items = np.atleast_2d(np.asarray(self.items, dtype=np.float64))
         if self.items.shape[0] < 1:
             raise DatasetError("dataset must contain at least one item")
-        if self.items.min() < 0.0 or self.items.max() > 1.0:
-            raise DatasetError("dataset entries must lie in [0, 1]")
+        # NaN fails both comparisons, so a NaN entry is refused too
+        if not (self.items.min() >= 0.0 and self.items.max() <= 1.0):
+            raise DatasetError("dataset entries must be finite and lie in [0, 1]")
         if self.shape2d is not None:
             h, w = self.shape2d
             if h * w != self.items.shape[1]:

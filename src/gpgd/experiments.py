@@ -150,7 +150,7 @@ class ExperimentConfig:
             )
 
 
-_JSON_FIELDS = {"lambdas", "seeds", "net_dims"}
+# Fields written as JSON lists, and the type of their entries.
 _TUPLE_FIELDS = {"lambdas": float, "seeds": int, "net_dims": int}
 
 
@@ -161,7 +161,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         val = getattr(cfg, f.name)
         if f.name == "gpgd_gamma":
             rendered = json.dumps(val)
-        elif f.name in _JSON_FIELDS:
+        elif f.name in _TUPLE_FIELDS:
             rendered = json.dumps(list(val))
         elif isinstance(val, float):
             rendered = repr(val)
@@ -199,7 +199,15 @@ def _parse_value(key: str, raw: str, lineno: int):
             return None if val is None else float(val)
         if key in _TUPLE_FIELDS:
             items = json.loads(raw)
-            return tuple(_TUPLE_FIELDS[key](v) for v in items)
+            if not isinstance(items, list):
+                raise ValueError(f"expected a JSON list, got {raw}")
+            kind = _TUPLE_FIELDS[key]
+            for v in items:  # a bool is an int to Python, but not a number here
+                if isinstance(v, bool) or not isinstance(v, (int, kind)):
+                    raise ValueError(f"entries must be JSON "
+                                     f"{'integers' if kind is int else 'numbers'}, "
+                                     f"got {v!r}")
+            return tuple(kind(v) for v in items)
         proto = getattr(ExperimentConfig, key)
         if isinstance(proto, int):
             return int(raw)
@@ -405,13 +413,14 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
     test_items = _split_items(cfg, ds)[0].copy()
     chash = config_hash(cfg)
 
+    # every operator first, so a config that cannot build one trains nothing
+    operators = [(seed, _build_operator(cfg, ds, seed)) for seed in cfg.seeds]
     if cfg.problem == "sparse":
         projectors = {
             lam: ExactProjector(KSparse(cfg.sparse_k, ds.n)) for lam in cfg.lambdas
         }
     else:
         projectors = {lam: NetProjector(net) for lam, net in train_priors(cfg, ds)}
-    operators = [(seed, _build_operator(cfg, ds, seed)) for seed in cfg.seeds]
     del ds  # freed before the batches' iterate stacks are allocated
 
     rows: list[RunRow] = []
@@ -822,7 +831,9 @@ def estimate_constants(vcfg: VerifyConfig | None = None) -> list[tuple[str, str,
 def aggregate_report(results_dir) -> tuple[str, list[dict]]:
     """Merge results.csv files under a directory into a per-lambda summary.
 
-    Raises ConfigError when input files disagree on their schema.
+    Raises ConfigError when input files disagree on their schema, or a row
+    has another cell count than its header or an unparsable lambda,
+    psnr_best or conv_iter cell.
     """
     paths = sorted(Path(results_dir).rglob("results.csv"))
     if not paths:
@@ -840,18 +851,26 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
                 f"schema mismatch: {paths[0]} has columns [{header}], "
                 f"{path} has columns [{lines[0]}]"
             )
-        for line in lines[1:]:
-            if line.strip():
-                rows.append(line.split(","))
+        width = header.count(",") + 1
+        for lineno, line in enumerate(lines[1:], 2):
+            if not line.strip():
+                continue
+            row = line.split(",")
+            if len(row) != width:
+                raise ConfigError(
+                    f"{path} line {lineno}: {len(row)} cells, the header has {width}")
+            rows.append((path, lineno, row))
     cols = header.split(",")
     i_lam = cols.index("lambda")
     i_psnr = cols.index("psnr_best")
     i_conv = cols.index("conv_iter")
-    cells = [
-        (float(r[i_lam]), float(r[i_psnr]),
-         math.inf if r[i_conv] == "never" else float(r[i_conv]))
-        for r in rows
-    ]
+    cells = []
+    for path, lineno, r in rows:
+        try:
+            cells.append((float(r[i_lam]), float(r[i_psnr]),
+                          math.inf if r[i_conv] == "never" else float(r[i_conv])))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from None
     summary = _summarize(cells, sorted({lam for lam, _, _ in cells}))
     lines = ["lambda   cells  mean_psnr  std_psnr  median_conv  never"]
     for rec in summary:

@@ -230,6 +230,13 @@ def _support_table(n: int, s: int) -> np.ndarray:
     return table
 
 
+def _iteration_matrix(A, gamma: float) -> np.ndarray:
+    """M = I - gamma A^T A, the gradient step's linear part, as a dense
+    (n, n) array."""
+    mat = materialize(A)
+    return np.eye(mat.shape[1]) - gamma * (mat.T @ mat)
+
+
 def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
                       beta: float | None = None) -> RicEstimate:
     """Exact RIC of gamma A^T A over the k-sparse secant set.
@@ -256,15 +263,14 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mat = materialize(A)
-    n = mat.shape[1]
+    m_op = _iteration_matrix(A, gamma)
+    n = len(m_op)
     s = min(2 * k, n)
     count = math.comb(n, s)
     if count > max_supports:
         raise ValueError(
             f"support enumeration too large: C({n},{s})={count} > {max_supports}"
         )
-    m_op = np.eye(n) - gamma * (mat.T @ mat)
     gram = m_op @ m_op  # symmetric, so M^T M = M^2
     supports = _support_table(n, s)
     bounds = np.empty(count)
@@ -309,24 +315,41 @@ def _check_nsamples(nsamples: int) -> None:
         raise ValueError(f"nsamples must be >= 1, got {nsamples}")
 
 
-def _raise_running_max(ratios: np.ndarray, best: float, series: np.ndarray):
-    """Fold a block of ratios, in sample order, into the running maximum
-    best. series receives the running maximum after each sample. Returns
-    the new maximum and the index of the first sample that raised it above
-    best (None if none did). NaN ratios, including the NaN of a skipped
-    sample, raise nothing, just as ratio > best is false for them."""
-    np.fmax(np.fmax.accumulate(ratios), best, out=series)
-    top = int(np.argmax(series))  # series is sorted: the first maximal sample
-    if series[top] > best:
-        return float(series[top]), top
-    return best, None
+def _secant_sup(nsamples: int, seed: int, draw, image):
+    """Sampled sup of ||image(a, b, d)|| / ||d|| over secants d = a - b.
 
-
-def _block_ratios(num: np.ndarray, den: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """num / den on the used rows of a block, NaN on the skipped ones."""
-    ratios = np.full(len(used), np.nan)
-    ratios[used] = num / den[used]
-    return ratios
+    Samples come in blocks of SAMPLE_BLOCK (fewer in the last), each drawn
+    as the row pair (a, b) = draw(rng, count) from one generator seeded
+    with seed. Rows with ||d|| at or below _SECANT_GUARD are skipped and
+    counted as degenerate; image is called once per block that has a used
+    row, on the used rows only, and returns their images as rows. Neither a
+    skipped row nor a NaN ratio ever raises the running maximum. Returns
+    (value, witness, series, degenerate): witness is (a, b) of the first
+    sample whose ratio is the value (None if no ratio exceeds 0), series
+    the running maximum after each sample. Raises ValueError when nsamples
+    is below 1.
+    """
+    _check_nsamples(nsamples)
+    rng = np.random.default_rng(seed)
+    series = np.zeros(nsamples)
+    best, witness, degenerate = 0.0, None, 0
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, nsamples - start)
+        a, b = draw(rng, count)
+        d = a - b
+        norms = row_norms(d)
+        used = norms > _SECANT_GUARD
+        degenerate += count - int(np.count_nonzero(used))
+        ratios = np.full(count, np.nan)
+        if used.any():
+            ratios[used] = row_norms(image(a[used], b[used], d[used])) / norms[used]
+        running = series[start : start + count]
+        np.fmax(np.fmax.accumulate(ratios), best, out=running)
+        top = int(np.argmax(running))  # running is sorted: the first maximal sample
+        if running[top] > best:
+            best = float(running[top])
+            witness = (a[top].copy(), b[top].copy())
+    return best, witness, series, degenerate
 
 
 def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate:
@@ -337,27 +360,16 @@ def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate
     sample i is the secant x1[i] - x2[i]. Raises ValueError when nsamples
     is below 1.
     """
-    _check_nsamples(nsamples)
-    mat = materialize(A)
-    n = mat.shape[1]
-    m_op = np.eye(n) - gamma * (mat.T @ mat)
-    rng = np.random.default_rng(seed)
-    series = np.zeros(nsamples)
-    best = 0.0
-    degenerate = 0
-    for start in range(0, nsamples, SAMPLE_BLOCK):
-        count = min(SAMPLE_BLOCK, nsamples - start)
-        x1 = sample_member(model, rng, count)
-        diffs = x1 - sample_member(model, rng, count)
-        norms = row_norms(diffs)
-        used = norms > _SECANT_GUARD
-        degenerate += count - int(np.count_nonzero(used))
+    m_op = _iteration_matrix(A, gamma)
+    value, _, series, degenerate = _secant_sup(
+        nsamples, seed,
+        lambda rng, count: (sample_member(model, rng, count),
+                            sample_member(model, rng, count)),
         # row-by-row matmul: the bits of m_op @ diff for every row
-        images = np.matmul(m_op, diffs[used][:, :, None])[..., 0]
-        ratios = _block_ratios(row_norms(images), norms, used)
-        best, _ = _raise_running_max(ratios, best, series[start : start + count])
+        lambda x1, x2, diffs: np.matmul(m_op, diffs[:, :, None])[..., 0],
+    )
     return RicEstimate(
-        value=best,
+        value=value,
         method="SampledLowerBound",
         samples=nsamples,
         seed=seed,
@@ -392,29 +404,15 @@ def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
     it is called once per block, on the rows with z != x in sample order.
     Raises ValueError when nsamples is below 1.
     """
-    _check_nsamples(nsamples)
-    rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
-    best = 0.0
-    witness = None
-    degenerate = 0
-    series = np.zeros(nsamples)
-    for start in range(0, nsamples, SAMPLE_BLOCK):
-        count = min(SAMPLE_BLOCK, nsamples - start)
-        z_b = sampler(rng, count, model.n)
-        x_b = sample_member(model, rng, count)
-        dz = row_norms(z_b - x_b)
-        used = dz > _SECANT_GUARD
-        degenerate += count - int(np.count_nonzero(used))
-        dist = np.empty(0)
-        if used.any():
-            dist = row_norms(as_rows(P(z_b[used])) - x_b[used])
-        ratios = _block_ratios(dist, dz, used)
-        best, top = _raise_running_max(ratios, best, series[start : start + count])
-        if top is not None:
-            witness = (z_b[top].copy(), x_b[top].copy())
+    value, witness, series, degenerate = _secant_sup(
+        nsamples, seed,
+        lambda rng, count: (sampler(rng, count, model.n),
+                            sample_member(model, rng, count)),
+        lambda z, x, _: as_rows(P(z)) - x,
+    )
     return LipschitzEstimate(
-        value=best, samples=nsamples, seed=seed, witness=witness, series=series,
+        value=value, samples=nsamples, seed=seed, witness=witness, series=series,
         degenerate=degenerate,
     )
 
@@ -440,48 +438,37 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
                          z_sampler=None) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
-    Samples are drawn as blocks z_sampler(rng, count, n) of shape (count,
-    n) (radial_sampler() by default), each as large as the pending block of
-    SAMPLE_BLOCK used samples has room for. Samples landing in the model
-    set (models.on_model_set) are skipped and counted as degenerate. P
-    takes a stack (b, n) of points, one per row, and is called once per
-    SAMPLE_BLOCK used samples (fewer in the last call), in sample order.
-    Undefined psi and phi values contribute zero. Raises ValueError when
-    nsamples is below 1.
+    Samples come in blocks z_sampler(rng, count, n) of shape (count, n)
+    (radial_sampler() by default) of SAMPLE_BLOCK samples (fewer in the
+    last). Samples landing in the model set (models.on_model_set) are
+    skipped and counted as degenerate. P takes a stack (b, n) of points,
+    one per row; it is called once per block that holds a sample off the
+    model set, on that block's off-set rows in sample order. Undefined psi
+    and phi values contribute zero; mean_psi averages over the used
+    samples. Raises ValueError when nsamples is below 1.
     """
     _check_nsamples(nsamples)
     rng = np.random.default_rng(seed)
     sampler = z_sampler if z_sampler is not None else radial_sampler()
-    n = model.n
-    rows = min(nsamples, SAMPLE_BLOCK)
-    Z, Pperp = np.empty((rows, n)), np.empty((rows, n))
     # psi sum, then the maxima of psi, phi and the deviation ratio
     totals = np.zeros(4)
-    used = degenerate = filled = drawn = 0
-    while drawn < nsamples:
-        # draw only as many samples as the pending block has room for, so
-        # every evaluated block holds exactly `rows` used samples until the
-        # last: mean_psi sums over the same blocks whatever is skipped
-        z_d = sampler(rng, min(rows - filled, nsamples - drawn), n)
-        drawn += len(z_d)
-        pperp_d = project(model, z_d)
-        keep = ~on_model_set(z_d, pperp_d)
-        kept = int(np.count_nonzero(keep))
-        degenerate += len(z_d) - kept
-        Z[filled : filled + kept] = z_d[keep]
-        Pperp[filled : filled + kept] = pperp_d[keep]
-        filled += kept
-        if filled == rows or (filled and drawn == nsamples):
-            z_b, pperp_b = Z[:filled], Pperp[:filled]
-            p_b = as_rows(P(z_b))
-            psi_vals, _ = psi_rows(p_b, z_b)
-            phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
-            lprime = _einsum_norms(pperp_b - p_b) / _einsum_norms(z_b - pperp_b)
-            totals[0] += psi_vals.sum()
-            np.maximum(totals[1:], [psi_vals.max(), phi_vals.max(), lprime.max()],
-                       out=totals[1:])
-            used += filled
-            filled = 0
+    degenerate = 0
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        z_b = sampler(rng, min(SAMPLE_BLOCK, nsamples - start), model.n)
+        pperp_b = project(model, z_b)
+        off = ~on_model_set(z_b, pperp_b)
+        degenerate += len(z_b) - int(np.count_nonzero(off))
+        if not off.any():
+            continue
+        z_b, pperp_b = z_b[off], pperp_b[off]
+        p_b = as_rows(P(z_b))
+        psi_vals, _ = psi_rows(p_b, z_b)
+        phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
+        lprime = _einsum_norms(pperp_b - p_b) / _einsum_norms(z_b - pperp_b)
+        totals[0] += psi_vals.sum()
+        np.maximum(totals[1:], [psi_vals.max(), phi_vals.max(), lprime.max()],
+                   out=totals[1:])
+    used = nsamples - degenerate
     return OrthogonalityReport(
         mean_psi=float(totals[0] / used) if used else 0.0,
         max_psi=float(totals[1]),

@@ -103,8 +103,15 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back.items, ds.items)
 
 
-def test_dataset_validation():
+def test_dataset_validation(tmp_path):
     with pytest.raises(DatasetError):
         Dataset(np.array([[0.5, 1.5]]), None, "x")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DatasetError):
+            Dataset(np.array([[0.5, bad]]), None, "x")
+    path = tmp_path / "nan.csv"
+    path.write_text("0.5,0.25\n0.5,nan\n")
+    with pytest.raises(DatasetError, match="finite"):
+        load_dataset_csv(path)
     with pytest.raises(DatasetError):
         Dataset(np.array([[0.5, 0.5]]), (3, 3), "x")

@@ -92,9 +92,23 @@ def test_config_nested_gpgd_block():
             config_from_text(text)
 
 
+BAD_VALUES = [
+    "ratio = all-of-them",
+    "lambdas = 0.4",  # not a list
+    'lambdas = {"a": 1}',
+    "lambdas = [true]",
+    'lambdas = ["0.4"]',
+    "lambdas = [[0.4]]",
+    "seeds = [0.7, 1.9]",
+    "seeds = [false]",
+    "net_dims = [16, 8.0, 16]",
+]
+
+
 def test_config_rejects_bad_value():
-    with pytest.raises(ConfigError):
-        config_from_text("ratio = all-of-them\n")
+    for line in BAD_VALUES:
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {line.split()[0]}"):
+            config_from_text("problem = sparse\n" + line + "\n")
 
 
 def test_config_validation():
@@ -268,6 +282,18 @@ def test_net_width_differing_from_dataset_is_refused_before_training(tmp_path):
     with pytest.raises(ConfigError, match="width"):
         next(train_priors(cfg, ds))
     with pytest.raises(ConfigError, match="width"):
+        run_experiment(cfg)
+    assert not (Path(cfg.out_dir) / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("over, match", [
+    (dict(problem="superres", factor=3, dataset_name="bars"), "not divisible"),
+    (dict(problem="deblur", dataset_name="sparse-combos"), "image-shaped"),
+], ids=["superres-indivisible", "deblur-unshaped"])
+def test_operator_that_cannot_be_built_is_refused_before_training(tmp_path, over,
+                                                                  match):
+    cfg = small_config(tmp_path, **over)
+    with pytest.raises(ValueError, match=match):
         run_experiment(cfg)
     assert not (Path(cfg.out_dir) / "checkpoints").exists()
 
@@ -454,6 +480,22 @@ def test_aggregate_schema_mismatch(tmp_path):
     assert "lambda,flavor" in str(exc.value)
 
 
+@pytest.mark.parametrize("row, match", [
+    ("0.0,0,1,20.5,3,7", "line 3: 6 cells, the header has 7"),
+    ("0.0,0,1,20.5,3,7,abc,extra", "line 3: 8 cells, the header has 7"),
+    ("zero,0,1,20.5,3,7,abc", "line 3: could not convert"),
+    ("0.0,0,1,,3,7,abc", "line 3: could not convert"),
+    ("0.0,0,1,20.5,3,soon,abc", "line 3: could not convert"),
+], ids=["short", "long", "lambda", "psnr_best", "conv_iter"])
+def test_aggregate_bad_row(tmp_path, row, match):
+    path = tmp_path / "results.csv"
+    path.write_text("lambda,seed,item,psnr_best,best_index,conv_iter,config_hash\n"
+                    f"0.0,0,0,21.5,4,never,abc\n{row}\n")
+    with pytest.raises(ConfigError, match=match) as exc:
+        aggregate_report(tmp_path)
+    assert str(path) in str(exc.value)
+
+
 def test_aggregate_empty_dir(tmp_path):
     with pytest.raises(ConfigError):
         aggregate_report(tmp_path)
@@ -474,9 +516,10 @@ def test_cli_gen_data(tmp_path):
 
 def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "cfg.txt"
-    bad.write_text("problem = fly-fishing\n")
-    rc = cli.main(["solve", "--config", str(bad)])
-    assert rc == 2
+    for line in ["problem = fly-fishing"] + BAD_VALUES:
+        bad.write_text(line + "\n")
+        rc = cli.main(["solve", "--config", str(bad)])
+        assert rc == 2, line
 
 
 def test_cli_verify_theorems_passes(tmp_path):

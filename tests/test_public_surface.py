@@ -65,3 +65,49 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert gpgd.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of every private top-level function, class or constant
+    of a module; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _read_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names read in tree outside the subtree skip: loaded variables and
+    attribute names."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_private_helper_is_dead():
+    # a private helper that the code it served no longer calls must go
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    dead = []
+    for filename, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(name in _read_names(other, node) for other in trees.values()):
+                dead.append(f"gpgd/{filename}: {name}")
+    assert not dead, f"private names defined and never read: {dead}"

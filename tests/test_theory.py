@@ -11,6 +11,7 @@ from gpgd.models import (
     PerturbedProjector,
     UnionOfLines,
     hard_threshold,
+    on_model_set,
     project,
     random_lines,
     sample_member,
@@ -466,21 +467,10 @@ def _sin2_reference(u, v):
 
 
 def _report_stream(model, sampler, rng, nsamples):
-    """The orthogonality report's samples in sample order, drawn in the
-    report's blocks: each draw is as large as the pending block of
-    SAMPLE_BLOCK used samples has room for, and a sample in the model set
-    takes no room."""
-    rows = min(nsamples, SAMPLE_BLOCK)
-    filled = 0
-    stream = []
-    while len(stream) < nsamples:
-        block = sampler(rng, min(rows - filled, nsamples - len(stream)), model.n)
-        stream.extend(block)
-        filled += sum(
-            np.linalg.norm(z - project(model, z)) > MEMBER_TOL * (1.0 + np.linalg.norm(z))
-            for z in block)
-        filled %= rows
-    return stream
+    """The orthogonality report's draws, one block at a time: blocks of
+    SAMPLE_BLOCK samples (fewer in the last), in sample order."""
+    for start in range(0, nsamples, SAMPLE_BLOCK):
+        yield sampler(rng, min(SAMPLE_BLOCK, nsamples - start), model.n)
 
 
 def test_report_lprime_matches_recomputation():
@@ -499,7 +489,7 @@ def test_report_lprime_matches_recomputation():
         sampler = radial_sampler()
         best = psi_sum = max_psi = max_phi = 0.0
         used = 0
-        for z in _report_stream(lines, sampler, rng, nsamples):
+        for z in np.concatenate(list(_report_stream(lines, sampler, rng, nsamples))):
             pperp = project(lines, z)
             dist = np.linalg.norm(z - pperp)
             if dist <= 1e-9 * (1.0 + np.linalg.norm(z)):
@@ -654,19 +644,23 @@ def test_lipschitz_matches_per_sample_loop(case):
 
 def _report_reference(model, P, nsamples, seed, sampler):
     """The report's draws, then per-sample membership tests and P calls;
-    psi, phi and the deviation ratio evaluated on blocks of SAMPLE_BLOCK
-    used samples."""
+    psi, phi and the deviation ratio evaluated on the used samples of each
+    drawn block."""
     rng = np.random.default_rng(seed)
-    used, skipped = [], 0
-    for z in _report_stream(model, sampler, rng, nsamples):
-        pperp = project(model, z)
-        if np.linalg.norm(z - pperp) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)):
-            skipped += 1
-        else:
-            used.append((z, pperp, P(z)))
+    blocks, skipped = [], 0
+    for block in _report_stream(model, sampler, rng, nsamples):
+        used = []
+        for z in block:
+            pperp = project(model, z)
+            if np.linalg.norm(z - pperp) <= MEMBER_TOL * (1.0 + np.linalg.norm(z)):
+                skipped += 1
+            else:
+                used.append((z, pperp, P(z)))
+        if used:
+            blocks.append(used)
     psi_sum = max_psi = max_phi = lprime = 0.0
-    for start in range(0, len(used), SAMPLE_BLOCK):
-        z_b, pperp_b, p_b = map(np.array, zip(*used[start : start + SAMPLE_BLOCK]))
+    for used in blocks:
+        z_b, pperp_b, p_b = map(np.array, zip(*used))
         psi_vals, _ = psi_rows(p_b, z_b)
         phi_vals, _ = phi_rows(pperp_b, p_b, z_b)
         num, den = pperp_b - p_b, z_b - pperp_b
@@ -676,21 +670,22 @@ def _report_reference(model, P, nsamples, seed, sampler):
         max_psi = max(max_psi, psi_vals.max())
         max_phi = max(max_phi, phi_vals.max())
         lprime = max(lprime, ratios.max())
-    return psi_sum / len(used), max_psi, max_phi, lprime, skipped
+    return psi_sum / (nsamples - skipped), max_psi, max_phi, lprime, skipped
 
 
-def _radial_or_on_a_line(lines):
+def _radial_or_on_a_line(lines, all_on_line_block=None):
     """Radial blocks, except that every fifth sample is a point on a line,
-    which the report skips: the used samples then fill their blocks across
-    draw boundaries."""
+    which the report skips; so is every sample of the draw numbered
+    all_on_line_block (counting from 0), if given."""
     radial = radial_sampler()
-    drawn = 0
+    drawn = draws = 0
 
     def sample(rng, count, n):
-        nonlocal drawn
+        nonlocal drawn, draws
         Z = radial(rng, count, n)
         i = np.arange(drawn, drawn + count)
-        on_line = i % 5 == 0
+        on_line = (i % 5 == 0) | (draws == all_on_line_block)
+        draws += 1
         Z[on_line] = 1.5 * lines.directions[i[on_line] % len(lines.directions)]
         drawn += count
         return Z
@@ -709,6 +704,39 @@ def test_report_matches_per_sample_loop(u):
     assert skipped == NSAMPLES // 5 == est.degenerate
     assert (est.mean_psi, est.max_psi, est.max_phi, est.lprime_hat) == (
         mean_psi, max_psi, max_phi, lprime)
+
+
+def test_report_calls_P_once_per_block_on_its_off_set_rows():
+    # the second block lies entirely on the lines: P is called for the
+    # first and third blocks only, each time on that block's off-set rows
+    drawn, calls = [], []
+    sampler = _radial_or_on_a_line(_LINES, all_on_line_block=1)
+    proj = PerturbedProjector(_LINES, t=0.1, u=0.3, seed=77)
+
+    def recording_sampler(rng, count, n):
+        drawn.append(sampler(rng, count, n))
+        return drawn[-1].copy()
+
+    def recording_P(Z):
+        calls.append((np.array(Z), proj(Z)))
+        return calls[-1][1]
+
+    est = orthogonality_report(_LINES, recording_P, NSAMPLES, seed=78,
+                               z_sampler=recording_sampler)
+    assert [len(block) for block in drawn] == [
+        SAMPLE_BLOCK, SAMPLE_BLOCK, NSAMPLES - 2 * SAMPLE_BLOCK]
+    on_set = [on_model_set(block, project(_LINES, block)) for block in drawn]
+    assert on_set[1].all() and not on_set[0].all() and not on_set[2].all()
+    assert len(calls) == 2
+    for (Z, _), block, on in zip(calls, (drawn[0], drawn[2]), (on_set[0], on_set[2])):
+        assert np.array_equal(Z, block[~on])
+    assert est.degenerate == sum(int(on.sum()) for on in on_set)
+    used = sum(len(Z) for Z, _ in calls)
+    assert used == NSAMPLES - est.degenerate
+    psi_sum = 0.0
+    for Z, p in calls:
+        psi_sum += psi_rows(p, Z)[0].sum()
+    assert est.mean_psi == psi_sum / used > 0.0
 
 
 # --- theorem bounds ----------------------------------------------------------
