@@ -196,18 +196,12 @@ def _parse_value(key: str, raw: str, lineno: int):
     try:
         if key == "gpgd_gamma":
             val = json.loads(raw)
-            return None if val is None else float(val)
+            return None if val is None else _json_number(val, float)
         if key in _TUPLE_FIELDS:
             items = json.loads(raw)
             if not isinstance(items, list):
                 raise ValueError(f"expected a JSON list, got {raw}")
-            kind = _TUPLE_FIELDS[key]
-            for v in items:  # a bool is an int to Python, but not a number here
-                if isinstance(v, bool) or not isinstance(v, (int, kind)):
-                    raise ValueError(f"entries must be JSON "
-                                     f"{'integers' if kind is int else 'numbers'}, "
-                                     f"got {v!r}")
-            return tuple(kind(v) for v in items)
+            return tuple(_json_number(v, _TUPLE_FIELDS[key]) for v in items)
         proto = getattr(ExperimentConfig, key)
         if isinstance(proto, int):
             return int(raw)
@@ -216,6 +210,16 @@ def _parse_value(key: str, raw: str, lineno: int):
         return raw
     except (ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+
+
+def _json_number(val, kind):
+    """A parsed JSON value as kind (int or float), which it must already be;
+    an int passes as a float. A bool is an int to Python, but not a number
+    here."""
+    if isinstance(val, bool) or not isinstance(val, (int, kind)):
+        raise ValueError(f"expected a JSON {'integer' if kind is int else 'number'}, "
+                         f"got {val!r}")
+    return kind(val)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -831,9 +835,10 @@ def estimate_constants(vcfg: VerifyConfig | None = None) -> list[tuple[str, str,
 def aggregate_report(results_dir) -> tuple[str, list[dict]]:
     """Merge results.csv files under a directory into a per-lambda summary.
 
-    Raises ConfigError when input files disagree on their schema, or a row
-    has another cell count than its header or an unparsable lambda,
-    psnr_best or conv_iter cell.
+    Raises ConfigError when input files disagree on their schema, the
+    header lacks a lambda, psnr_best or conv_iter column, or a row has
+    another cell count than its header or an unparsable cell in one of
+    those columns.
     """
     paths = sorted(Path(results_dir).rglob("results.csv"))
     if not paths:
@@ -861,9 +866,12 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
                     f"{path} line {lineno}: {len(row)} cells, the header has {width}")
             rows.append((path, lineno, row))
     cols = header.split(",")
-    i_lam = cols.index("lambda")
-    i_psnr = cols.index("psnr_best")
-    i_conv = cols.index("conv_iter")
+    needed = ("lambda", "psnr_best", "conv_iter")
+    missing = [c for c in needed if c not in cols]
+    if missing:
+        raise ConfigError(f"{paths[0]}: header [{header}] lacks the "
+                          f"column(s) {', '.join(missing)}")
+    i_lam, i_psnr, i_conv = (cols.index(c) for c in needed)
     cells = []
     for path, lineno, r in rows:
         try:

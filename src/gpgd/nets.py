@@ -8,7 +8,8 @@ penalty gradient is differentiated fully through the quotient.
 
 All parameters of a network live in one flat float64 vector (`DenseNet.
 params`, checkpoint order); gradients and Adam moments use the same layout,
-so an Adam step is a few whole-vector operations. A training step runs one
+so an Adam step is a few elementwise operations, run block by block. A
+training step runs one
 forward and one backward pass over the data rows stacked on the z rows, in
 buffers the network keeps per row count.
 """
@@ -98,8 +99,7 @@ class Activation:
         The identity returns z itself."""
         if self.kind == "identity":
             return z
-        out = np.multiply(z, self.slope, out=out)
-        return np.maximum(z, out, out=out)
+        return _leaky_relu(z, self.slope, out)
 
     def derivative(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """1 where z >= 0 and slope elsewhere, written to out (which may be
@@ -109,8 +109,19 @@ class Activation:
         if self.kind == "identity":
             out.fill(1.0)
             return out
-        np.greater_equal(z, 0.0, out=out)
-        return np.maximum(out, self.slope, out=out)
+        return _leaky_relu_derivative(z, self.slope, out)
+
+
+# The leaky-ReLU formulas, shared by Activation and the training pass,
+# which calls them straight from its layer table.
+def _leaky_relu(z, slope, out):
+    out = np.multiply(z, slope, out=out)
+    return np.maximum(z, out, out=out)
+
+
+def _leaky_relu_derivative(z, slope, out):
+    np.greater_equal(z, 0.0, out=out)
+    return np.maximum(out, slope, out=out)
 
 
 @dataclass(frozen=True)
@@ -291,22 +302,53 @@ def forward_batch(net: DenseNet, X: np.ndarray):
     return a, None
 
 
+class _LayerPass(NamedTuple):
+    """The arrays of one layer that a training pass touches."""
+
+    weight: np.ndarray
+    weight_t: np.ndarray
+    bias: np.ndarray
+    slope: float | None  # leaky-ReLU slope; None for the identity
+    a_in: np.ndarray
+    pre: np.ndarray  # pre-activation
+    a_out: np.ndarray
+    delta: np.ndarray  # upstream gradient at the pre-activation
+    delta_t: np.ndarray
+    g_w: np.ndarray  # weight and bias gradients
+    g_b: np.ndarray
+    delta_below: np.ndarray | None  # the layer below's delta; None for the first
+
+
 class _Workspace:
-    """Buffers of one forward/backward pass over `rows` stacked rows: each
-    layer's input (acts[0] is the net input), pre-activation and upstream
-    gradient, and scratch for z - net(z). An identity layer's
-    pre-activation buffer is its output buffer."""
+    """Buffers of one forward/backward pass over `rows` stacked rows.
+
+    `acts` holds each layer's input (acts[0] is the net input) and the net
+    output; `resid` is scratch for z - net(z). `table` holds one _LayerPass
+    per layer, with its pre-activation and upstream-gradient buffers (an
+    identity layer's pre-activation buffer is its output buffer) and its
+    views into the network's flat gradient buffer, kept as `grad`; with it
+    a step looks up no attributes.
+    """
 
     def __init__(self, net: DenseNet, rows: int):
         dims = net.dims
         self.acts = [np.empty((rows, d)) for d in dims]
-        self.pres = [
+        pres = [
             self.acts[l + 1] if layer.activation.kind == "identity"
             else np.empty((rows, dims[l + 1]))
             for l, layer in enumerate(net.layers)
         ]
-        self.deltas = [np.empty((rows, d)) for d in dims[1:]]
+        deltas = [np.empty((rows, d)) for d in dims[1:]]
         self.resid = np.empty((rows, dims[0]))
+        self.grad, grad_views = _grad_buffer(net)
+        self.table = [
+            _LayerPass(
+                layer.weight, layer.weight.T, layer.bias,
+                None if layer.activation.kind == "identity" else layer.activation.slope,
+                self.acts[l], pres[l], self.acts[l + 1],
+                deltas[l], deltas[l].T, g_w, g_b, deltas[l - 1] if l else None)
+            for l, (layer, (g_w, g_b)) in enumerate(zip(net.layers, grad_views))
+        ]
 
 
 def _workspace(net: DenseNet, rows: int) -> _Workspace:
@@ -324,18 +366,17 @@ def _grad_buffer(net: DenseNet):
     return net._grad
 
 
-def _forward(net: DenseNet, work: _Workspace) -> np.ndarray:
+def _forward(work: _Workspace) -> np.ndarray:
     """Forward pass over work.acts[0], keeping every layer's buffers."""
-    a = work.acts[0]
-    for l, layer in enumerate(net.layers):
-        z = np.matmul(a, layer.weight.T, out=work.pres[l])
-        z += layer.bias
-        a = layer.activation.apply(z, out=work.acts[l + 1])
-    return a
+    for _, weight_t, bias, slope, a, z, out, *_ in work.table:
+        np.matmul(a, weight_t, out=z)
+        z += bias
+        if slope is not None:
+            _leaky_relu(z, slope, out)
+    return out
 
 
-def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
-              z_scale: float):
+def _backprop(work: _Workspace, targets: np.ndarray, z_scale: float):
     """One forward and one backward pass over the stacked rows in
     work.acts[0]: the first len(targets) are data rows, the rest z rows.
 
@@ -345,8 +386,8 @@ def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
     buffer, overwritten by the next call.
     """
     s = targets.shape[0]
-    out = _forward(net, work)
-    d_out = work.deltas[-1]
+    out = _forward(work)
+    d_out = work.table[-1].delta
     data = psi_sum = 0.0
     if s:
         resid = np.subtract(out[:s], targets, out=d_out[:s])
@@ -358,18 +399,15 @@ def _backprop(net: DenseNet, work: _Workspace, targets: np.ndarray,
                                R=work.resid[s:])
         psi_sum = float(psi_vals.sum())
         d_out[s:] *= z_scale
-    grad, grad_views = _grad_buffer(net)
-    for l in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[l]
-        d = work.deltas[l]
-        if layer.activation.kind != "identity":
-            d *= layer.activation.derivative(work.pres[l], out=work.pres[l])
-        g_w, g_b = grad_views[l]
-        np.matmul(d.T, work.acts[l], out=g_w)
-        np.sum(d, axis=0, out=g_b)
-        if l > 0:
-            np.matmul(d, layer.weight, out=work.deltas[l - 1])
-    return data, psi_sum, grad
+    for weight, _, _, slope, a, z, _, d, d_t, g_w, g_b, d_below in reversed(
+            work.table):
+        if slope is not None:
+            d *= _leaky_relu_derivative(z, slope, z)
+        np.matmul(d_t, a, out=g_w)
+        np.add.reduce(d, axis=0, out=g_b)
+        if d_below is not None:
+            np.matmul(d, weight, out=d_below)
+    return data, psi_sum, work.grad
 
 
 @dataclass
@@ -464,13 +502,19 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
         inputs[:s] = X
     if cfg.lam != 0.0:
         inputs[s:] = Z
-    data, psi_sum, grad = _backprop(net, work, X, cfg.lam / s)
+    data, psi_sum, grad = _backprop(work, X, cfg.lam / s)
     sor = psi_sum / s
     loss = data + cfg.lam * sor
-    if not np.isfinite(loss):
-        term = "data" if not np.isfinite(data) else "sor"
+    if not math.isfinite(loss):
+        term = "data" if not math.isfinite(data) else "sor"
         raise NonFiniteLoss(term, data, sor)
     return loss, grad
+
+
+# Elements per block of adam_step: the block's slices of the parameters,
+# gradient, moments and scratch (256 KiB each) stay in L2 across its 13
+# passes, where whole vectors of a large net would stream from memory.
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -483,7 +527,8 @@ class AdamState:
     step: int = 0
 
     def __post_init__(self):
-        self.scratch = np.empty_like(self.m)  # work buffer of adam_step
+        # work buffer of adam_step, one block long
+        self.scratch = np.empty(min(self.m.size, _ADAM_BLOCK))
 
 
 def adam_state_for(net: DenseNet) -> AdamState:
@@ -494,27 +539,34 @@ def adam_step(net: DenseNet, grads, state: AdamState, tau: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
     """Standard bias-corrected Adam update of the flat parameter vector
-    from a flat gradient, in place."""
+    from a flat gradient, in place.
+
+    The update runs block by block over _ADAM_BLOCK elements. Every op is
+    elementwise, so the bits do not depend on the block size."""
     g = np.asarray(grads, dtype=np.float64)
-    if g.shape != net.params.shape:
-        raise ValueError(f"gradient shape {g.shape}, expected {net.params.shape}")
+    params = net.params
+    if g.shape != params.shape:
+        raise ValueError(f"gradient shape {g.shape}, expected {params.shape}")
     state.step += 1
     c1 = 1.0 - beta1**state.step
     c2 = 1.0 - beta2**state.step
-    m, v, tmp = state.m, state.v, state.scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=tmp)
-    v *= beta2
-    tmp = np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - beta2
-    v += tmp
-    # params -= (tau / c1) m / (sqrt(v / c2) + eps)
-    np.divide(v, c2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    np.divide(m, tmp, out=tmp)
-    tmp *= tau / c1
-    net.params -= tmp
+    for start in range(0, params.size, _ADAM_BLOCK):
+        end = start + _ADAM_BLOCK
+        gb, m, v = g[start:end], state.m[start:end], state.v[start:end]
+        tmp = state.scratch[: gb.size]
+        m *= beta1
+        m += np.multiply(gb, 1.0 - beta1, out=tmp)
+        v *= beta2
+        np.multiply(gb, gb, out=tmp)
+        tmp *= 1.0 - beta2
+        v += tmp
+        # params -= (tau / c1) m / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= tau / c1
+        params[start:end] -= tmp
     return net, state
 
 
@@ -554,15 +606,17 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     state = adam_state_for(net)
     history: list[EpochRecord] = []
     count = items.shape[0]
+    # The z batch is drawn into one buffer; random(out=...) gives the bits
+    # of uniform(size=...), which computes 0 + 1 * random().
+    zbuf = np.empty((min(cfg.batch_size, count), n)) if cfg.lam != 0.0 else None
+    pnp = cfg.mode == "PnP"
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(count)
         for step, start in enumerate(range(0, count, cfg.batch_size)):
             idx = perm[start : start + cfg.batch_size]
             xb = items[idx]
-            zb = z_rng.uniform(size=(idx.size, n)) if cfg.lam != 0.0 else None
-            noise_seed = (
-                int(noise_rng.integers(2**63)) if cfg.mode == "PnP" else 0
-            )
+            zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
+            noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
             try:
                 _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
             except NonFiniteLoss as exc:

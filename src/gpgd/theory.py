@@ -62,7 +62,9 @@ def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
     psi = |u| / (a b) with u = <p, z-p>, a = ||p||, b = ||z-p||, clamped to
     1 against rounding. Rows with a or b at or below PSI_GUARD are
     degenerate: a 0/1 row weight gives them zero value and zero gradient in
-    the same arithmetic as every other row. Non-finite rows are not
+    the same arithmetic as every other row. A stack with no degenerate row
+    skips the weighting, which is exact (x * 1 and x + 0 are x), so a row's
+    bits do not depend on its neighbours. Non-finite rows are not
     degenerate, so their NaN reaches the caller. When dpsi is given it
     receives the unclamped d psi / d p row by row; R, if given, is scratch
     for Z - P. Returns (psi per row, degenerate mask).
@@ -72,15 +74,20 @@ def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
     a = _einsum_norms(P)
     b = _einsum_norms(R)
     degenerate = (a <= PSI_GUARD) | (b <= PSI_GUARD)
-    valid = ~degenerate
-    a += degenerate  # degenerate rows divide by a positive dummy norm
-    b += degenerate
+    valid = ~degenerate if np.count_nonzero(degenerate) else None
+    abs_u = np.abs(u)
+    if valid is not None:
+        a += degenerate  # degenerate rows divide by a positive dummy norm
+        b += degenerate
+        abs_u *= valid
     ab = a * b
-    abs_u = np.abs(u) * valid
     psi_vals = np.minimum(abs_u / ab, 1.0)
     if dpsi is not None:
         # d psi / d p = sign(u)/(ab) (r - p) - |u|/(a^3 b) p + |u|/(a b^3) r
-        c = np.sign(u) * valid / ab
+        c = np.sign(u)
+        if valid is not None:
+            c *= valid
+        c /= ab
         k_p = c + abs_u / (a * a * ab)
         k_r = c + abs_u / (ab * b * b)
         np.multiply(P, k_p[:, None], out=dpsi)

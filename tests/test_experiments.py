@@ -102,6 +102,9 @@ BAD_VALUES = [
     "seeds = [0.7, 1.9]",
     "seeds = [false]",
     "net_dims = [16, 8.0, 16]",
+    "gpgd_gamma = [1]",  # null or a number only
+    "gpgd_gamma = true",
+    'gpgd_gamma = "0.5"',
 ]
 
 
@@ -492,6 +495,18 @@ def test_aggregate_bad_row(tmp_path, row, match):
     path.write_text("lambda,seed,item,psnr_best,best_index,conv_iter,config_hash\n"
                     f"0.0,0,0,21.5,4,never,abc\n{row}\n")
     with pytest.raises(ConfigError, match=match) as exc:
+        aggregate_report(tmp_path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("seed,item,psnr_best,conv_iter", "lambda"),
+    ("lambda,seed,item,best_index", "psnr_best, conv_iter"),
+], ids=["lambda", "psnr_best-conv_iter"])
+def test_aggregate_header_lacks_columns(tmp_path, header, missing):
+    path = tmp_path / "results.csv"
+    path.write_text(f"{header}\n0.0,0,0,21.5\n")
+    with pytest.raises(ConfigError, match=f"lacks the column\\(s\\) {missing}$") as exc:
         aggregate_report(tmp_path)
     assert str(path) in str(exc.value)
 

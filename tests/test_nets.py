@@ -254,7 +254,7 @@ def test_stacked_pass_matches_separate_passes(mode):
     data_grad = data_grad.copy()
     work = _workspace(net, 7)
     work.acts[0][...] = Z
-    _, psi_sum, sor_grad = _backprop(net, work, np.empty((0, 6)), 0.4 / 7)
+    _, psi_sum, sor_grad = _backprop(work, np.empty((0, 6)), 0.4 / 7)
     separate = data_grad + sor_grad
     assert np.max(np.abs(stacked - separate)) <= 1e-12 * np.max(np.abs(separate))
     assert loss == pytest.approx(data + 0.4 * psi_sum / 7, rel=1e-12)
@@ -364,6 +364,27 @@ def test_psi_kernel_matches_reference_with_degenerate_rows():
     assert np.array_equal(value_only, vals) and np.array_equal(mask, degenerate)
 
 
+def test_psi_kernel_row_bits_do_not_depend_on_degenerate_neighbours():
+    # a stack with no degenerate row skips the 0/1 row weighting; its rows
+    # must carry the bits they get inside a stack that has degenerate rows
+    from gpgd.theory import psi_rows
+
+    rng = np.random.default_rng(46)
+    Z = rng.uniform(0, 1, (8, 5))
+    P = rng.uniform(0, 1, (8, 5))
+    clean_vals, clean_mask = psi_rows(P, Z, dpsi=(clean_dpsi := np.empty_like(P)))
+    assert not clean_mask.any()
+    mixed_P = np.vstack([P[:4], np.zeros((1, 5)), P[4:], Z[:1]])
+    mixed_Z = np.vstack([Z[:4], Z[4:5], Z[4:], Z[:1]])
+    mixed_vals, mixed_mask = psi_rows(mixed_P, mixed_Z,
+                                      dpsi=(mixed_dpsi := np.empty_like(mixed_P)))
+    rows = [0, 1, 2, 3, 5, 6, 7, 8]
+    assert mixed_mask.tolist() == [False] * 4 + [True] + [False] * 4 + [True]
+    assert np.array_equal(mixed_vals[rows].view(np.int64), clean_vals.view(np.int64))
+    assert np.array_equal(mixed_dpsi[rows].view(np.int64), clean_dpsi.view(np.int64))
+    assert np.all(mixed_vals[[4, 9]] == 0.0) and np.all(mixed_dpsi[[4, 9]] == 0.0)
+
+
 def test_psi_kernel_propagates_non_finite_rows():
     # a NaN output is not a degenerate sample: it must reach the loss check
     from gpgd.theory import psi_rows
@@ -412,6 +433,45 @@ def test_adam_constant_gradient_step_magnitude_approaches_tau():
         adam_step(net, g, state, tau)
     step = abs(net.params_vector()[0] - prev)
     assert step == pytest.approx(tau, rel=1e-6)
+
+
+def _adam_reference(params, g, m, v, step, tau, beta1, beta2, eps):
+    """The whole-vector Adam update of gpgd 0.12.0, op for op."""
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    tmp = np.empty_like(m)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=tmp)
+    v *= beta2
+    tmp = np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= tau / c1
+    params -= tmp
+
+
+def test_adam_blocks_match_whole_vector_update_bit_for_bit():
+    from gpgd.nets import _ADAM_BLOCK
+
+    net = make_net((256, 128, 256), seed=47)
+    size = net.n_params()
+    assert size > 2 * _ADAM_BLOCK and size % _ADAM_BLOCK  # a partial last block
+    state = adam_state_for(net)
+    assert state.scratch.size <= _ADAM_BLOCK
+    params, m, v = net.params_vector(), np.zeros(size), np.zeros(size)
+    rng = np.random.default_rng(48)
+    adam = (0.8, 0.99, 1e-6)
+    for step in range(1, 5):
+        g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 2, size)
+        adam_step(net, g, state, 3e-3, *adam)
+        _adam_reference(params, g, m, v, step, 3e-3, *adam)
+        assert state.step == step
+        for got, want in ((net.params, params), (state.m, m), (state.v, v)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_adam_rejects_gradient_of_wrong_shape():
@@ -609,7 +669,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     # data rows only, then z rows only, through the training pass
     work = _workspace(net, 8)
     work.acts[0][...] = data
-    data_grad = _backprop(net, work, data, 0.0)[2].copy()
+    data_grad = _backprop(work, data, 0.0)[2].copy()
     # high-precision reference (1e6 points, chunked) so its own Monte-Carlo
     # error does not flatten the measured slope at large trial counts
     rng = np.random.default_rng(21)
@@ -618,7 +678,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     work = _workspace(net, per_chunk)
     for _ in range(n_chunks):
         work.acts[0][...] = rng.uniform(size=(per_chunk, 6))
-        sor_ref += _backprop(net, work, np.empty((0, 6)),
+        sor_ref += _backprop(work, np.empty((0, 6)),
                              1.0 / (per_chunk * n_chunks))[2]
     ref = data_grad + 0.4 * sor_ref
 

@@ -47,7 +47,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     # Full-batch data gradient (exact part of the reference).
     work = _workspace(net, count)
     work.acts[0][...] = items
-    data_flat = _backprop(net, work, items, 0.0)[2].copy()
+    data_flat = _backprop(work, items, 0.0)[2].copy()
 
     # Monte-Carlo penalty gradient, chunked to estimate its own error: each
     # chunk is all z rows, scaled to the chunk mean.
@@ -59,7 +59,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
         chunk_arr = np.empty((n_chunks, n_params))
         for c in range(n_chunks):
             work.acts[0][...] = rng.uniform(size=(per_chunk, n))
-            chunk_arr[c] = _backprop(net, work, no_data, 1.0 / per_chunk)[2]
+            chunk_arr[c] = _backprop(work, no_data, 1.0 / per_chunk)[2]
         sor_ref = cfg.lam * chunk_arr.mean(axis=0)
         se_ref_sq = cfg.lam**2 * chunk_arr.var(axis=0, ddof=1) / n_chunks
     else:
