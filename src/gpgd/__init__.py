@@ -34,4 +34,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

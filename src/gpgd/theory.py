@@ -217,10 +217,50 @@ _RIC_EIG_CHUNK = 512
 _RIC_PRUNE_MARGIN = 1e-12
 
 
-def _gram_blocks(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """The (c, s, s) stack of principal submatrices gram[S, S], one per row
-    S of supports."""
-    return gram[supports[:, :, None], supports[:, None, :]]
+def _take_blocks(gram: np.ndarray, supports: np.ndarray,
+                 idx: np.ndarray | None = None) -> np.ndarray:
+    """The principal submatrices gram[S, S], one per row S of supports, as
+    an (s, s, c) stack with the support axis last, gathered by one take
+    from the raveled C-contiguous (n, n) gram. The flat indices
+    S[i] * n + S[j] are intp whatever the table's dtype, so they cannot
+    wrap; idx, if given, is (s, s, c) intp scratch for them. With the
+    support axis last, every index and bound operation runs over c
+    contiguous entries."""
+    sup = supports.T.astype(np.intp, order="C")
+    idx = np.add((sup * len(gram))[:, None, :], sup[None, :, :], out=idx)
+    return gram.ravel().take(idx)
+
+
+def _block_bounds(blocks: np.ndarray, out: np.ndarray) -> None:
+    """Writes to out an upper bound on the top eigenvalue of each block of
+    an (s, s, c) stack: the smaller of its Frobenius norm and its largest
+    absolute row sum (Gershgorin), formed in place by s - 1 slice adds and
+    s - 1 elementwise maxima rather than reduces over axes of length s.
+    Overwrites blocks."""
+    a = np.abs(blocks, out=blocks)
+    np.sqrt(np.einsum("ijb,ijb->b", a, a), out=out)
+    rows = a[:, 0]  # row sums overwrite column 0, which nothing reads after
+    for j in range(1, len(a)):
+        rows += a[:, j]
+    for row in rows[1:]:
+        np.maximum(rows[0], row, out=rows[0])
+    np.minimum(out, rows[0], out=out)
+
+
+def _ric_bounds(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """_block_bounds of every block gram[S, S], S a row of supports,
+    _RIC_BOUND_CHUNK supports at a time, with their indices in a contiguous
+    prefix of one reused buffer; each chunk's blocks are freed before the
+    next chunk's are taken."""
+    count, s = supports.shape
+    bounds = np.empty(count)
+    buf = np.empty(s * s * min(count, _RIC_BOUND_CHUNK), dtype=np.intp)
+    for start in range(0, count, _RIC_BOUND_CHUNK):
+        chunk = supports[start : start + _RIC_BOUND_CHUNK]
+        idx = buf[: s * s * len(chunk)].reshape(s, s, len(chunk))
+        _block_bounds(_take_blocks(gram, chunk, idx),
+                      out=bounds[start : start + len(chunk)])
+    return bounds
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,11 +295,14 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
     (M^2)[S, S] is the object whose top eigenvalue is enumerated.
 
     Bound and prune: every block's top eigenvalue is bounded by the smaller
-    of its largest absolute row sum (Gershgorin) and its Frobenius norm,
-    and blocks are eigendecomposed in decreasing-bound order until the
-    next bound falls below the best eigenvalue by the relative margin. The
-    value is the full enumeration's maximum bit for bit: a maximum does not
-    depend on evaluation order, and pruned blocks cannot reach it.
+    of its largest absolute row sum (Gershgorin) and its Frobenius norm.
+    The blocks with the _RIC_EIG_CHUNK largest bounds are eigendecomposed
+    first; the rest follow in decreasing-bound order, _RIC_EIG_CHUNK at a
+    time, until the next bound falls below the best eigenvalue by the
+    relative margin. The value is the full enumeration's maximum bit for
+    bit: a maximum does not depend on evaluation order, each block's
+    eigenvalues do not depend on the blocks decomposed with it, and pruned
+    blocks cannot reach it.
 
     Early exit: with beta given, the enumeration also stops as soon as its
     running value delta gives delta * beta >= 1, the rate at which Theorem
@@ -270,6 +313,8 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     m_op = _iteration_matrix(A, gamma)
     n = len(m_op)
     s = min(2 * k, n)
@@ -279,25 +324,35 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
             f"support enumeration too large: C({n},{s})={count} > {max_supports}"
         )
     gram = m_op @ m_op  # symmetric, so M^T M = M^2
+    if not np.isfinite(gram).all():
+        raise ValueError("(I - gamma A^T A)^2 has a non-finite entry")
     supports = _support_table(n, s)
-    bounds = np.empty(count)
-    for start in range(0, count, _RIC_BOUND_CHUNK):
-        blocks = _gram_blocks(gram, supports[start : start + _RIC_BOUND_CHUNK])
-        gershgorin = np.abs(blocks).sum(axis=2).max(axis=1)
-        frobenius = np.sqrt(np.einsum("bij,bij->b", blocks, blocks))
-        np.minimum(gershgorin, frobenius, out=bounds[start : start + len(blocks)])
-    order = np.argsort(-bounds, kind="stable")
-    best = 0.0
-    evaluated = 0
-    for start in range(0, count, _RIC_EIG_CHUNK):
-        if bounds[order[start]] * (1.0 + _RIC_PRUNE_MARGIN) < best:
-            break
-        picked = supports[order[start : start + _RIC_EIG_CHUNK]]
-        eigs = np.linalg.eigvalsh(_gram_blocks(gram, picked))
-        best = max(best, float(eigs[:, -1].max()))
-        evaluated += len(picked)
-        if beta is not None and math.sqrt(max(best, 0.0)) * beta >= 1.0:
-            break
+    bounds = _ric_bounds(gram, supports)
+
+    def top_eigenvalue(picked: np.ndarray) -> float:
+        blocks = _take_blocks(gram, supports[picked]).transpose(2, 0, 1)
+        return float(np.linalg.eigvalsh(blocks)[:, -1].max())
+
+    def excluded(value: float) -> bool:
+        return beta is not None and math.sqrt(max(value, 0.0)) * beta >= 1.0
+
+    # The largest bounds are found without a sort; only the blocks whose
+    # bound still reaches the best eigenvalue after them are sorted.
+    top = np.argpartition(bounds, max(count - _RIC_EIG_CHUNK, 0))[-_RIC_EIG_CHUNK:]
+    best = top_eigenvalue(top)
+    evaluated = len(top)
+    if not excluded(best):
+        bounds[top] = -np.inf
+        rest = np.flatnonzero(bounds * (1.0 + _RIC_PRUNE_MARGIN) >= best)
+        rest = rest[np.argsort(-bounds[rest], kind="stable")]
+        for start in range(0, len(rest), _RIC_EIG_CHUNK):
+            if bounds[rest[start]] * (1.0 + _RIC_PRUNE_MARGIN) < best:
+                break
+            picked = rest[start : start + _RIC_EIG_CHUNK]
+            best = max(best, top_eigenvalue(picked))
+            evaluated += len(picked)
+            if excluded(best):
+                break
     return RicEstimate(
         value=math.sqrt(max(best, 0.0)),
         method="ExactSparseBruteForce",

@@ -222,6 +222,45 @@ def test_default_step_size_matches_svd_oracle():
     assert got == pytest.approx(1.0 / sigma_max**2, rel=1e-6)
 
 
+def _step_size_reference(A, tol=1e-8, max_iters=10_000):
+    """The power iteration with np.linalg.norm for its norms; returns
+    1 / lambda and the number of A^T A products it took."""
+    v = np.random.default_rng(0).standard_normal(A.n)
+    v /= np.linalg.norm(v)
+    lam_prev = lam = 0.0
+    for steps in range(1, max_iters + 1):
+        w = A.adjoint(A.apply(v))
+        lam = float(np.dot(v, w))
+        v = w / np.linalg.norm(w)
+        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+            break
+        lam_prev = lam
+    return 1.0 / lam, steps
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: DenseOperator(np.random.default_rng(6).standard_normal((16, 32))),
+    lambda: Blur(gaussian_blur_kernel(5, 1.0), (12, 10)),
+    lambda: make_superres_operator((12, 10), 2, gaussian_blur_kernel(5, 1.0)),
+], ids=["dense", "blur", "superres"])
+def test_default_step_size_norm_bits_and_public_calls(monkeypatch, make_op):
+    # sqrt(w . w) gives np.linalg.norm's bits on a 1-D float64 vector, and
+    # every power step goes through A.apply and A.adjoint by those names
+    A = make_op()
+    expected, steps = _step_size_reference(A)
+    calls = {"apply": 0, "adjoint": 0}
+    for name in calls:
+        method = getattr(A, name)
+
+        def counted(x, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(x)
+
+        monkeypatch.setattr(A, name, counted)
+    assert default_step_size(A) == expected
+    assert calls == {"apply": steps, "adjoint": steps}
+
+
 def test_default_step_size_zero_operator():
     with pytest.raises(ValueError):
         default_step_size(DenseOperator(np.zeros((3, 3))))

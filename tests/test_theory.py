@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,10 +254,61 @@ def test_ric_exact_evaluates_tied_blocks(case):
     assert est.evaluated == est.samples
 
 
+@pytest.mark.parametrize("case", sorted(RIC_CASES))
+def test_ric_bounds_dominate_top_eigenvalues(case):
+    # pruning is sound: every block's bound, widened by the pruning margin,
+    # reaches the top eigvalsh eigenvalue of that block (gathered here by a
+    # fancy index, independently of the library's flat take)
+    from gpgd import theory
+
+    A, gamma, k = RIC_CASES[case]
+    n = A.shape[1]
+    M = np.eye(n) - gamma * (A.T @ A)
+    gram = M @ M
+    supports = theory._support_table(n, min(2 * k, n))
+    bounds = theory._ric_bounds(gram, supports)
+    sup = supports.astype(np.intp)
+    top = np.linalg.eigvalsh(gram[sup[:, :, None], sup[:, None, :]])[:, -1]
+    assert bounds.shape == top.shape
+    assert np.all(bounds * (1.0 + theory._RIC_PRUNE_MARGIN) >= top)
+
+
+@pytest.mark.parametrize("case", sorted(RIC_CASES))
+def test_ric_exact_beta_decides_exclusion_like_full_enumeration(case):
+    # with beta, the value decides delta * beta >= 1 exactly as the full
+    # enumeration's does; an excluded instance's value is a lower bound, a
+    # qualifying one's is the full value with the same blocks decomposed
+    A, gamma, k = RIC_CASES[case]
+    full = ric_exact_ksparse(A, gamma, k)
+    near = (0.5, 0.999, 1.001, 2.0) if full.value > 0.0 else ()
+    for beta in [GOLDEN, *(c / full.value for c in near)]:
+        est = ric_exact_ksparse(A, gamma, k, beta=beta)
+        assert (est.value * beta >= 1.0) == (full.value * beta >= 1.0)
+        if full.value * beta >= 1.0:
+            assert est.value <= full.value
+            assert est.evaluated <= full.evaluated
+        else:
+            assert (est.value, est.evaluated) == (full.value, full.evaluated)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_ric_exact_rejects_nonpositive_k(k):
     with pytest.raises(ValueError, match=r"k must be >= 1"):
         ric_exact_ksparse(np.eye(6), 1.0, k)
+
+
+@pytest.mark.parametrize("A, gamma", [
+    (np.eye(6), np.nan),
+    (np.eye(6), np.inf),
+    (np.eye(6), -np.inf),
+    (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), 1.0),
+], ids=["gamma-nan", "gamma-inf", "gamma-minus-inf", "nan-entry"])
+def test_ric_exact_rejects_non_finite_input(A, gamma):
+    # refused before the bound pass: no RuntimeWarning, no LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"finite"):
+            ric_exact_ksparse(A, gamma, 2)
 
 
 def test_ric_sampled_identity_zero():
