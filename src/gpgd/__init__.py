@@ -17,7 +17,6 @@ from .models import (
     KSparse,
     PerturbedProjector,
     UnionOfLines,
-    UnionOfSubspaces,
     hard_threshold,
     project,
     project_union,
@@ -34,4 +33,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

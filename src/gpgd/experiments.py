@@ -676,7 +676,7 @@ def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
     then an x block of line members, and are checked block by block; the
     first violating sample is reported."""
     lines = _lines(vcfg)
-    proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=_derive_seed(vcfg.seed, 13))
+    proj = PerturbedProjector(lines, t=0.1)
     rng = np.random.default_rng(_derive_seed(vcfg.seed, 14))
     sampler = theory.radial_sampler()
     worst = -math.inf
@@ -709,7 +709,7 @@ def _perturbed_reports(vcfg: VerifyConfig):
     one, over nsamples radial probes."""
     lines = _lines(vcfg)
     for t in vcfg.t_grid:
-        proj = PerturbedProjector(lines, t=t, u=0.0, seed=_derive_seed(vcfg.seed, 15))
+        proj = PerturbedProjector(lines, t=t)
         yield t, theory.orthogonality_report(
             lines, proj, vcfg.nsamples, _derive_seed(vcfg.seed, 16)
         )

@@ -1,10 +1,9 @@
 """Low-dimensional model sets with exact orthogonal projections.
 
-Supported sets: k-sparse vectors, finite unions of subspaces given by
-orthonormal bases, and unions of lines (unit directions through the
-origin). All are homogeneous and proximinal by construction. Projections
-break ties by lowest index so results are reproducible, and take one
-vector (n,) or a stack (b, n) of vectors, one per row.
+Supported sets: k-sparse vectors and unions of lines (unit directions
+through the origin). Both are homogeneous and proximinal by construction.
+Projections break ties by lowest index so results are reproducible, and
+take one vector (n,) or a stack (b, n) of vectors, one per row.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .signals import as_rows, row_norms
 __all__ = [
     "ModelSetError",
     "KSparse",
-    "UnionOfSubspaces",
     "UnionOfLines",
     "hard_threshold",
     "project_union",
@@ -49,24 +47,6 @@ class KSparse:
     def __post_init__(self):
         if not 1 <= self.k < self.n:
             raise ModelSetError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-
-
-class UnionOfSubspaces:
-    """Union of subspaces span(B_j), each basis with orthonormal columns."""
-
-    def __init__(self, bases):
-        mats = [np.asarray(b, dtype=np.float64) for b in bases]
-        if not mats:
-            raise ModelSetError("need at least one subspace basis")
-        n = mats[0].shape[0]
-        for b in mats:
-            if b.ndim != 2 or b.shape[0] != n:
-                raise ModelSetError("all bases must be (n, d) with a common n")
-            gram = b.T @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
-                raise ModelSetError("basis columns must be orthonormal (1e-10)")
-        self.bases = mats
-        self.n = n
 
 
 class UnionOfLines:
@@ -104,29 +84,21 @@ def hard_threshold(z, k: int) -> np.ndarray:
 
 
 def project_union(z, model) -> np.ndarray:
-    """Orthogonal projection onto a union of subspaces or lines.
+    """Orthogonal projection onto a union of lines.
 
-    Picks, per row, the component maximizing the projected norm
-    (equivalently, minimizing the residual); ties go to the lowest index.
+    Picks, per row, the line maximizing the projected norm (equivalently,
+    minimizing the residual); ties go to the lowest index.
     Every row gets the bits of its own one-vector call: the products are
     row-by-row matmuls, which a single stacked matmul would not give.
     """
+    if not isinstance(model, UnionOfLines):
+        raise ModelSetError(f"project_union does not support {type(model).__name__}")
     vec = as_rows(z)
     rows = vec.reshape(-1, vec.shape[-1])
-    if isinstance(model, UnionOfLines):
-        coeffs = np.matmul(rows[:, None, :], model._directions_t)[:, 0]
-        best = np.argmax(np.abs(coeffs), axis=-1)
-        out = coeffs[np.arange(len(rows)), best][:, None] * model.directions[best]
-        return out.reshape(vec.shape)
-    if isinstance(model, UnionOfSubspaces):
-        coeffs = [np.matmul(rows[:, None, :], b)[:, 0] for b in model.bases]
-        best = np.argmax(np.stack([row_norms(c) for c in coeffs]), axis=0)
-        out = np.empty_like(rows)
-        for j, b in enumerate(model.bases):
-            picked = best == j
-            out[picked] = np.matmul(b, coeffs[j][picked][:, :, None])[..., 0]
-        return out.reshape(vec.shape)
-    raise ModelSetError(f"project_union does not support {type(model).__name__}")
+    coeffs = np.matmul(rows[:, None, :], model._directions_t)[:, 0]
+    best = np.argmax(np.abs(coeffs), axis=-1)
+    out = coeffs[np.arange(len(rows)), best][:, None] * model.directions[best]
+    return out.reshape(vec.shape)
 
 
 def project(model, z) -> np.ndarray:
@@ -152,10 +124,8 @@ def sample_member(model, rng: np.random.Generator, size: int | None = None) -> n
     A block takes a fixed number of generator calls, in this order:
     KSparse, a (size, n) uniform key block whose k smallest keys per row
     pick the row's support (a uniform k-subset), then a (size, k) block of
-    values; UnionOfSubspaces, one basis index per row, then a (size, d)
-    block of coefficients with d the widest basis, of which a row uses its
-    basis' leading columns; UnionOfLines, one line index per row, then one
-    coefficient per row.
+    values; UnionOfLines, one line index per row, then one coefficient per
+    row.
     """
     rows = 1 if size is None else size
     if isinstance(model, KSparse):
@@ -163,14 +133,6 @@ def sample_member(model, rng: np.random.Generator, size: int | None = None) -> n
         support = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
         out = np.zeros((rows, model.n))
         out[np.arange(rows)[:, None], support] = rng.standard_normal((rows, model.k))
-    elif isinstance(model, UnionOfSubspaces):
-        pick = rng.integers(len(model.bases), size=rows)
-        coeffs = rng.standard_normal((rows, max(b.shape[1] for b in model.bases)))
-        out = np.empty((rows, model.n))
-        for j, b in enumerate(model.bases):
-            picked = pick == j
-            # row-by-row matmul: the bits of b @ coefficients for every row
-            out[picked] = np.matmul(b, coeffs[picked, : b.shape[1], None])[..., 0]
     elif isinstance(model, UnionOfLines):
         pick = rng.integers(model.directions.shape[0], size=rows)
         out = rng.standard_normal(rows)[:, None] * model.directions[pick]
@@ -200,28 +162,20 @@ class ExactProjector:
 class PerturbedProjector:
     """Controlled deviation from the exact projection onto a union of lines.
 
-    Tangential magnitude t scales the coefficient along the chosen line by
-    (1 + t), so ||P(z) - P_perp(z)|| = t * ||P_perp(z)|| whenever the same
-    line is selected. Normal magnitude u > 0 flips the selection to the
-    second-best line with probability u (drawn from the projector's own
-    generator, so the map is sequence-reproducible rather than pointwise
-    deterministic). Outputs always lie in the model set, and points already
-    in the set are returned via the exact projection (P(z) = z on the set).
-    A stack (b, n) is the same as b one-vector calls in row order: rows off
-    the set draw from the generator in that order, rows on it draw nothing.
+    Tangential magnitude t scales the coefficient along the best line by
+    (1 + t), so ||P(z) - P_perp(z)|| = t * ||P_perp(z)||. Outputs always lie
+    in the model set, and points already in the set are returned via the
+    exact projection (P(z) = z on the set). Every row of a stack (b, n)
+    gets the bits of its own one-vector call.
     """
 
-    def __init__(self, model: UnionOfLines, t: float, u: float, seed: int):
+    def __init__(self, model: UnionOfLines, t: float):
         if not isinstance(model, UnionOfLines):
             raise ModelSetError("perturbed projector requires a union of lines")
-        if t < 0 or u < 0:
-            raise ModelSetError(f"t and u must be >= 0, got t={t}, u={u}")
-        if u > 1:
-            raise ModelSetError(f"u is a probability, got {u}")
+        if t < 0:
+            raise ModelSetError(f"t must be >= 0, got t={t}")
         self.model = model
         self.t = float(t)
-        self.u = float(u)
-        self._rng = np.random.default_rng(seed)
 
     def __call__(self, z) -> np.ndarray:
         vec = as_rows(z)
@@ -229,18 +183,10 @@ class PerturbedProjector:
         dirs = self.model.directions
         # row-by-row matmul: the bits of directions @ row for every row
         coeffs = np.matmul(dirs, rows[:, :, None])[..., 0]
-        abs_c = np.abs(coeffs)
-        idx = np.arange(len(rows))
-        best = np.argmax(abs_c, axis=1)
-        exact = coeffs[idx, best][:, None] * dirs[best]
+        best = np.argmax(np.abs(coeffs), axis=1)
+        c = coeffs[np.arange(len(rows)), best][:, None]
+        exact = c * dirs[best]
         on_set = on_model_set(rows, exact)
-        pick = best
-        if self.u > 0 and abs_c.shape[1] > 1:
-            off = np.flatnonzero(~on_set)
-            flip = off[self._rng.random(off.size) < self.u]
-            if flip.size:
-                pick = best.copy()
-                pick[flip] = np.argsort(-abs_c[flip], axis=1, kind="stable")[:, 1]
-        out = (1.0 + self.t) * coeffs[idx, pick][:, None] * dirs[pick]
+        out = (1.0 + self.t) * c * dirs[best]
         out[on_set] = exact[on_set]
         return out.reshape(vec.shape)

@@ -94,26 +94,9 @@ class Activation:
         if self.kind == "leaky_relu" and not 0.0 <= self.slope <= 1.0:
             raise ValueError(f"leaky_relu slope must lie in [0, 1], got {self.slope}")
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Activation of z, written to out (which must not be z) if given.
-        The identity returns z itself."""
-        if self.kind == "identity":
-            return z
-        return _leaky_relu(z, self.slope, out)
 
-    def derivative(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """1 where z >= 0 and slope elsewhere, written to out (which may be
-        z) if given."""
-        if out is None:
-            out = np.empty_like(z)
-        if self.kind == "identity":
-            out.fill(1.0)
-            return out
-        return _leaky_relu_derivative(z, self.slope, out)
-
-
-# The leaky-ReLU formulas, shared by Activation and the training pass,
-# which calls them straight from its layer table.
+# The leaky-ReLU formulas: out receives max(z, slope * z) (out must not be
+# z), or the derivative, 1 where z >= 0 and slope elsewhere (out may be z).
 def _leaky_relu(z, slope, out):
     out = np.multiply(z, slope, out=out)
     return np.maximum(z, out, out=out)
@@ -298,7 +281,7 @@ def forward_batch(net: DenseNet, X: np.ndarray):
             a = z
             spare, other = other, spare
         else:
-            a = layer.activation.apply(z, out=other[: z.size].reshape(shape))
+            a = _leaky_relu(z, layer.activation.slope, other[: z.size].reshape(shape))
     return a, None
 
 

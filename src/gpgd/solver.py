@@ -120,7 +120,8 @@ def default_step_size(A: LinearOperator, tol: float = 1e-8,
                       max_iters: int = 10_000) -> float:
     """1 / ||A||_2^2 via power iteration on A^T A (fixed internal seed).
     Norms are sqrt(w . w), the bits of np.linalg.norm on a 1-D float64
-    vector without its per-call overhead."""
+    vector without its per-call overhead. Raises ValueError at the first
+    non-finite estimate (a NaN or inf entry) or a vanishing A^T A v."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.n)
     v /= math.sqrt(v.dot(v))
@@ -129,6 +130,8 @@ def default_step_size(A: LinearOperator, tol: float = 1e-8,
     for _ in range(max_iters):
         w = A.adjoint(A.apply(v))
         lam = float(np.dot(v, w))
+        if not math.isfinite(lam):
+            raise ValueError(f"default_step_size: non-finite estimate {lam}")
         norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise ValueError("default_step_size: zero operator")

@@ -19,15 +19,13 @@ import numpy as np
 
 from .models import on_model_set, project, sample_member
 from .operators import materialize
-from .signals import as_rows, as_vector, row_norms
+from .signals import as_rows, row_norms
 
 __all__ = [
     "PSI_GUARD",
     "SAMPLE_BLOCK",
     "psi_rows",
-    "psi",
     "phi_rows",
-    "phi",
     "RicEstimate",
     "ric_exact_ksparse",
     "ric_sampled",
@@ -96,18 +94,6 @@ def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
     return psi_vals, degenerate
 
 
-def psi(P, z) -> float | None:
-    """Orthogonality defect |<P(z), z - P(z)>| / (||P(z)|| ||z - P(z)||).
-
-    Zero for exact orthogonal projections onto subspace unions. Returns
-    None (undefined) when either norm falls below the guard; aggregators
-    treat that as a zero contribution.
-    """
-    zv = as_vector(z)
-    vals, degenerate = psi_rows(as_vector(P(zv))[None], zv[None])
-    return None if degenerate[0] else float(vals[0])
-
-
 def _sin2(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise squared sine of the angle between rows of U and V (= 1 -
     cos^2), computed from the normalized residual so colinear rows give
@@ -146,18 +132,6 @@ def phi_rows(Pperp: np.ndarray, P: np.ndarray, Z: np.ndarray):
     sin2_pp[undefined] = 0.0
     denom[undefined] = 1.0
     return np.sqrt(2.0 * np.sqrt(sin2_pp) / denom), undefined
-
-
-def phi(model, P, z) -> float | None:
-    """Angular deviation between P and the exact projection at z (see
-    phi_rows); None when z lies in the model set, where P is not called, or
-    the value is undefined."""
-    zv = as_vector(z)
-    pperp = project(model, zv)
-    if on_model_set(zv, pperp):
-        return None
-    vals, undefined = phi_rows(pperp[None], as_vector(P(zv))[None], zv[None])
-    return None if undefined[0] else float(vals[0])
 
 
 def radial_sampler(radius: float = 2.0):
@@ -279,8 +253,13 @@ def _support_table(n: int, s: int) -> np.ndarray:
 
 def _iteration_matrix(A, gamma: float) -> np.ndarray:
     """M = I - gamma A^T A, the gradient step's linear part, as a dense
-    (n, n) array."""
+    (n, n) array. Raises ValueError, before any arithmetic, when gamma or
+    an entry of A is not finite."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     mat = materialize(A)
+    if not np.isfinite(mat).all():
+        raise ValueError("the operator has a non-finite entry")
     return np.eye(mat.shape[1]) - gamma * (mat.T @ mat)
 
 
@@ -313,8 +292,6 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
     m_op = _iteration_matrix(A, gamma)
     n = len(m_op)
     s = min(2 * k, n)
@@ -420,7 +397,7 @@ def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate
     Samples come in blocks of SAMPLE_BLOCK (fewer in the last): each block
     draws its x1 block, then its x2 block, by models.sample_member, and
     sample i is the secant x1[i] - x2[i]. Raises ValueError when nsamples
-    is below 1.
+    is below 1, or when gamma or an entry of A is not finite.
     """
     m_op = _iteration_matrix(A, gamma)
     value, _, series, degenerate = _secant_sup(

@@ -156,7 +156,7 @@ def test_criterion_04_lprime_vs_orthogonality_bound():
     lines = random_lines(5, 8, seed=41)
     results = []
     for t in (0.05, 0.1, 0.2):
-        proj = PerturbedProjector(lines, t=t, u=0.0, seed=42)
+        proj = PerturbedProjector(lines, t=t)
         rep = orthogonality_report(lines, proj, 10_000, seed=43)
         bound = theorem3_bound(min(1.1 * rep.max_psi, 0.999999), 1.1 * rep.max_phi)
         assert bound is not None

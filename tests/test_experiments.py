@@ -354,7 +354,7 @@ def _triangle_reference(vcfg, norm):
     z block, then an x block of line members."""
     seed = experiments._derive_seed
     lines = random_lines(vcfg.lines, vcfg.lines_dim, seed(vcfg.seed, 12))
-    proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=seed(vcfg.seed, 13))
+    proj = PerturbedProjector(lines, t=0.1)
     rng = np.random.default_rng(seed(vcfg.seed, 14))
     sampler = experiments.theory.radial_sampler()
     block = experiments.theory.SAMPLE_BLOCK

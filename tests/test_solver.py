@@ -261,6 +261,22 @@ def test_default_step_size_norm_bits_and_public_calls(monkeypatch, make_op):
     assert calls == {"apply": steps, "adjoint": steps}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_default_step_size_refuses_non_finite_operator(monkeypatch, bad):
+    # the first power step's estimate is not finite: raise there rather
+    # than run every step and return NaN
+    mat = np.eye(6)
+    mat[2, 3] = bad
+    A = DenseOperator(mat)
+    calls = []
+    apply = A.apply
+    monkeypatch.setattr(A, "apply", lambda x: calls.append(1) or apply(x))
+    with np.errstate(invalid="ignore"):  # inf - inf inside A^T A v
+        with pytest.raises(ValueError, match=r"non-finite"):
+            default_step_size(A)
+    assert len(calls) == 1
+
+
 def test_default_step_size_zero_operator():
     with pytest.raises(ValueError):
         default_step_size(DenseOperator(np.zeros((3, 3))))

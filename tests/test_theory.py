@@ -21,9 +21,7 @@ from gpgd.operators import DenseOperator
 from gpgd.theory import (
     SAMPLE_BLOCK,
     orthogonality_report,
-    phi,
     phi_rows,
-    psi,
     psi_rows,
     radial_sampler,
     restricted_lipschitz_sampled,
@@ -63,67 +61,96 @@ def power_iteration_sigma_max(mats, iters=20_000, tol=1e-12):
     return np.sqrt(np.maximum(lam, 0.0))
 
 
+class SecondLineProjector:
+    """Projection onto each point's second-best line of a union of lines,
+    with its coefficient scaled by (1 + t): a deviation normal to the exact
+    projection, so phi is non-zero. Stateless; every row of a stack gets
+    the bits of its one-vector call."""
+
+    def __init__(self, lines, t):
+        self.lines, self.t = lines, t
+
+    def __call__(self, z):
+        Z = np.asarray(z, dtype=np.float64)
+        rows = Z.reshape(-1, Z.shape[-1])
+        dirs = self.lines.directions
+        coeffs = np.matmul(dirs, rows[:, :, None])[..., 0]  # row by row
+        second = np.argsort(-np.abs(coeffs), axis=1, kind="stable")[:, 1]
+        c = coeffs[np.arange(len(rows)), second][:, None]
+        return ((1.0 + self.t) * c * dirs[second]).reshape(Z.shape)
+
+
 # --- psi / phi ------------------------------------------------------------
+#
+# One point is the (1, n) stack; the degenerate or undefined mask marks a
+# value that does not exist.
+
+
+def _psi_one(p, z):
+    vals, degenerate = psi_rows(np.atleast_2d(p), np.atleast_2d(z))
+    return float(vals[0]), bool(degenerate[0])
+
+
+def _phi_one(model, p, z):
+    Z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    vals, undefined = phi_rows(project(model, Z), np.atleast_2d(p), Z)
+    return float(vals[0]), bool(undefined[0])
 
 
 def test_psi_orthogonal_projection_is_zero():
     line = UnionOfLines([[1.0, 0.0]])
-    assert psi(ExactProjector(line), [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    val, degenerate = _psi_one(project(line, [1.0, 1.0]), [1.0, 1.0])
+    assert not degenerate and val == pytest.approx(0.0, abs=1e-15)
 
 
 def test_psi_tangentially_shifted_value():
-    P = lambda z: np.array([1.5, 0.0])
-    assert psi(P, [1.0, 1.0]) == pytest.approx(0.4472135955, abs=1e-9)
+    val, degenerate = _psi_one([1.5, 0.0], [1.0, 1.0])
+    assert not degenerate and val == pytest.approx(0.4472135955, abs=1e-9)
 
 
 def test_psi_degenerate_returns_none():
     line = UnionOfLines([[1.0, 0.0]])
-    assert psi(ExactProjector(line), [2.0, 0.0]) is None  # z in the set
-    assert psi(lambda z: np.zeros(2), [1.0, 1.0]) is None  # P(z) = 0
+    assert _psi_one(project(line, [2.0, 0.0]), [2.0, 0.0]) == (0.0, True)  # z in the set
+    assert _psi_one(np.zeros(2), [1.0, 1.0]) == (0.0, True)  # P(z) = 0
 
 
 def test_phi_exact_projector_is_zero():
     lines = random_lines(4, 5, seed=2)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = rng.standard_normal(5)
-        val = phi(lines, ExactProjector(lines), z)
-        if val is not None:
-            assert val == pytest.approx(0.0, abs=1e-7)
+    Z = np.random.default_rng(3).standard_normal((50, 5))
+    # the exact projection again, by a loop over the lines
+    P = np.array([max((np.dot(z, d) * d for d in lines.directions), key=np.linalg.norm)
+                  for z in Z])
+    vals, undefined = phi_rows(project(lines, Z), P, Z)
+    assert not undefined.any()
+    assert vals == pytest.approx(np.zeros(50), abs=1e-7)
 
 
 def test_phi_forced_wrong_line_value():
     lines = UnionOfLines([[1.0, 0.0], [0.0, 1.0]])
-    P = lambda z: np.array([0.0, z[1]])  # always projects onto e2
-    val = phi(lines, P, [2.0, 1.0])
-    assert val == pytest.approx(math.sqrt(10.0), abs=1e-12)
+    val, undefined = _phi_one(lines, [0.0, 1.0], [2.0, 1.0])  # P projects onto e2
+    assert not undefined and val == pytest.approx(math.sqrt(10.0), abs=1e-12)
 
 
 def test_phi_on_model_set_is_none():
     lines = UnionOfLines([[1.0, 0.0], [0.0, 1.0]])
-    assert phi(lines, ExactProjector(lines), [3.0, 0.0]) is None
+    assert _phi_one(lines, [3.0, 0.0], [3.0, 0.0]) == (0.0, True)
 
 
 def test_phi_perturbed_colinear_is_zero():
     lines = random_lines(5, 6, seed=4)
-    proj = PerturbedProjector(lines, t=0.3, u=0.0, seed=5)
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        z = rng.standard_normal(6)
-        val = phi(lines, proj, z)
-        if val is not None:
-            assert val == pytest.approx(0.0, abs=1e-7)
+    Z = np.random.default_rng(6).standard_normal((100, 6))
+    vals, undefined = phi_rows(project(lines, Z), PerturbedProjector(lines, t=0.3)(Z), Z)
+    assert not undefined.any()
+    assert vals == pytest.approx(np.zeros(100), abs=1e-7)
 
 
 def test_psi_in_unit_interval():
     # Cauchy-Schwarz: psi is a cosine magnitude
-    rng = np.random.default_rng(7)
-    lines = random_lines(3, 6, seed=8)
-    proj = PerturbedProjector(lines, t=0.4, u=0.5, seed=9)
-    for _ in range(500):
-        val = psi(proj, rng.standard_normal(6))
-        if val is not None:
-            assert 0.0 <= val <= 1.0
+    Z = np.random.default_rng(7).standard_normal((500, 6))
+    proj = SecondLineProjector(random_lines(3, 6, seed=8), t=0.4)
+    vals, degenerate = psi_rows(proj(Z), Z)
+    assert not degenerate.any()
+    assert np.all((0.0 <= vals) & (vals <= 1.0)) and vals.max() > 0.0
 
 
 # --- RIC -------------------------------------------------------------------
@@ -304,11 +331,14 @@ def test_ric_exact_rejects_nonpositive_k(k):
     (np.diag([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), 1.0),
 ], ids=["gamma-nan", "gamma-inf", "gamma-minus-inf", "nan-entry"])
 def test_ric_exact_rejects_non_finite_input(A, gamma):
-    # refused before the bound pass: no RuntimeWarning, no LinAlgError
+    # refused before any arithmetic: no RuntimeWarning, no LinAlgError, and
+    # no sampled value that skipped the NaN ratios
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"finite"):
             ric_exact_ksparse(A, gamma, 2)
+        with pytest.raises(ValueError, match=r"finite"):
+            ric_sampled(A, gamma, KSparse(2, 6), 100, seed=0)
 
 
 def test_ric_sampled_identity_zero():
@@ -451,7 +481,7 @@ def test_report_exact_projector_all_zero():
 
 def test_report_perturbed_tangential():
     lines = random_lines(5, 8, seed=15)
-    proj = PerturbedProjector(lines, t=0.1, u=0.0, seed=16)
+    proj = PerturbedProjector(lines, t=0.1)
     rep = orthogonality_report(lines, proj, 2000, seed=9)
     assert rep.max_phi == pytest.approx(0.0, abs=1e-7)
     assert rep.lprime_hat > 0.0
@@ -500,9 +530,8 @@ def test_membership_tolerance_shared_by_report_and_projector():
     assert rep.degenerate == len(inside)
     assert len(seen) == len(outside)
     assert all(np.array_equal(a, b) for a, b in zip(seen, outside))
-    assert all(phi(lines, recording_exact, z) is None for z in inside)
 
-    proj = PerturbedProjector(lines, t=0.3, u=0.0, seed=0)
+    proj = PerturbedProjector(lines, t=0.3)
     for z in inside:
         assert np.allclose(proj(z), project(lines, z), rtol=1e-14, atol=0.0)
     for z in outside:
@@ -529,14 +558,11 @@ def test_report_lprime_matches_recomputation():
     # replay the sample stream (same seed, same sampler, a fresh projector
     # with the same seed) and recompute psi, phi and the deviation ratio
     # sample by sample with scalar formulas. 1500 samples leave a partial
-    # block; u > 0 makes the projector stateful and phi non-zero.
+    # block; the second-line projector makes phi non-zero.
     lines = random_lines(5, 8, seed=15)
     nsamples, seed = 1500, 10
-    for u in (0.0, 0.3):
-        rep = orthogonality_report(
-            lines, PerturbedProjector(lines, t=0.1, u=u, seed=16), nsamples, seed=seed
-        )
-        proj = PerturbedProjector(lines, t=0.1, u=u, seed=16)
+    for proj in (PerturbedProjector(lines, t=0.1), SecondLineProjector(lines, t=0.1)):
+        rep = orthogonality_report(lines, proj, nsamples, seed=seed)
         rng = np.random.default_rng(seed)
         sampler = radial_sampler()
         best = psi_sum = max_psi = max_phi = 0.0
@@ -565,7 +591,7 @@ def test_report_lprime_matches_recomputation():
         assert rep.mean_psi == pytest.approx(psi_sum / used, rel=1e-12)
         assert rep.max_psi == pytest.approx(max_psi, rel=1e-12)
         assert rep.max_phi == pytest.approx(max_phi, rel=1e-12, abs=1e-12)
-        assert (max_phi > 0.1) == (u > 0.0)
+        assert (max_phi > 0.1) == isinstance(proj, SecondLineProjector)
 
 
 # --- blocked estimators against per-sample reference loops ------------------
@@ -604,14 +630,13 @@ def _ric_reference(A, gamma, model, nsamples, seed):
 
 
 @pytest.mark.parametrize("model", [KSparse(2, 16), random_lines(5, 16, seed=70)])
-@pytest.mark.parametrize("gamma", [0.02, math.nan])  # NaN: every ratio is NaN
+@pytest.mark.parametrize("gamma", [0.02])
 def test_ric_sampled_matches_per_sample_loop(model, gamma):
     A = np.random.default_rng(71).standard_normal((8, 16))
     est = ric_sampled(A, gamma, model, NSAMPLES, seed=72)
     value, series = _ric_reference(A, gamma, model, NSAMPLES, 72)
     assert est.value == value and np.array_equal(est.series, series)
-    assert est.degenerate == 0
-    assert (value == 0.0) == math.isnan(gamma)
+    assert est.degenerate == 0 and value > 0.0
 
 
 def _lipschitz_reference(P, model, nsamples, seed, sampler):
@@ -745,17 +770,17 @@ def _radial_or_on_a_line(lines, all_on_line_block=None):
     return sample
 
 
-@pytest.mark.parametrize("u", [0.0, 0.3])
-def test_report_matches_per_sample_loop(u):
-    est = orthogonality_report(
-        _LINES, PerturbedProjector(_LINES, t=0.1, u=u, seed=75), NSAMPLES,
-        seed=76, z_sampler=_radial_or_on_a_line(_LINES))
-    mean_psi, max_psi, max_phi, lprime, skipped = _report_reference(
-        _LINES, PerturbedProjector(_LINES, t=0.1, u=u, seed=75), NSAMPLES, 76,
-        _radial_or_on_a_line(_LINES))
-    assert skipped == NSAMPLES // 5 == est.degenerate
-    assert (est.mean_psi, est.max_psi, est.max_phi, est.lprime_hat) == (
-        mean_psi, max_psi, max_phi, lprime)
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_report_matches_per_sample_loop(t):
+    for proj in (PerturbedProjector(_LINES, t=t), SecondLineProjector(_LINES, t=t)):
+        est = orthogonality_report(_LINES, proj, NSAMPLES, seed=76,
+                                   z_sampler=_radial_or_on_a_line(_LINES))
+        mean_psi, max_psi, max_phi, lprime, skipped = _report_reference(
+            _LINES, proj, NSAMPLES, 76, _radial_or_on_a_line(_LINES))
+        assert skipped == NSAMPLES // 5 == est.degenerate
+        assert (est.mean_psi, est.max_psi, est.max_phi, est.lprime_hat) == (
+            mean_psi, max_psi, max_phi, lprime)
+        assert (max_phi > 0.0) == isinstance(proj, SecondLineProjector)
 
 
 def test_report_calls_P_once_per_block_on_its_off_set_rows():
@@ -763,7 +788,7 @@ def test_report_calls_P_once_per_block_on_its_off_set_rows():
     # first and third blocks only, each time on that block's off-set rows
     drawn, calls = [], []
     sampler = _radial_or_on_a_line(_LINES, all_on_line_block=1)
-    proj = PerturbedProjector(_LINES, t=0.1, u=0.3, seed=77)
+    proj = SecondLineProjector(_LINES, t=0.1)
 
     def recording_sampler(rng, count, n):
         drawn.append(sampler(rng, count, n))
@@ -838,7 +863,7 @@ def test_triangle_chain_per_sample():
     # instrumentation of the deviation-to-Lipschitz argument: the additive
     # chain holds sample by sample, up to float rounding
     lines = random_lines(5, 8, seed=18)
-    proj = PerturbedProjector(lines, t=0.3, u=0.0, seed=19)
+    proj = PerturbedProjector(lines, t=0.3)
     rng = np.random.default_rng(20)
     sampler = radial_sampler()
     for z, x in _block_pairs(2000, lambda count: sampler(rng, count, 8),
@@ -853,7 +878,7 @@ def test_triangle_chain_per_sample():
 @pytest.mark.parametrize("t", [0.0, 0.05, 0.1, 0.2, 0.35, 0.5])
 def test_lprime_bound_holds_with_inflated_sups(t):
     lines = random_lines(5, 8, seed=21)
-    proj = PerturbedProjector(lines, t=t, u=0.0, seed=22)
+    proj = PerturbedProjector(lines, t=t)
     rep = orthogonality_report(lines, proj, 5000, seed=12)
     bound = theorem3_bound(min(1.1 * rep.max_psi, 0.999999), 1.1 * rep.max_phi)
     assert bound is not None
