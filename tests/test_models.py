@@ -272,6 +272,7 @@ def test_hard_threshold_stack_matches_rows_random():
     random_lines(6, 10, seed=61),
     UnionOfLines([[1.0, 0.0], [0.0, 1.0]]),
     KSparse(3, 10),
+    KSparse(1, 7),
 ])
 def test_exact_projector_stack_matches_rows(model):
     rng = np.random.default_rng(63)
