@@ -310,19 +310,27 @@ class _Workspace:
     per layer, with its pre-activation and upstream-gradient buffers (an
     identity layer's pre-activation buffer is its output buffer) and its
     views into the network's flat gradient buffer, kept as `grad`; with it
-    a step looks up no attributes.
+    a step looks up no attributes. Given `base`, a workspace of more rows,
+    every buffer is the leading `rows` rows of base's and nothing is
+    allocated.
     """
 
-    def __init__(self, net: DenseNet, rows: int):
+    def __init__(self, net: DenseNet, rows: int, base: "_Workspace | None" = None):
         dims = net.dims
-        self.acts = [np.empty((rows, d)) for d in dims]
-        pres = [
-            self.acts[l + 1] if layer.activation.kind == "identity"
-            else np.empty((rows, dims[l + 1]))
-            for l, layer in enumerate(net.layers)
-        ]
-        deltas = [np.empty((rows, d)) for d in dims[1:]]
-        self.resid = np.empty((rows, dims[0]))
+        if base is None:
+            self.acts = [np.empty((rows, d)) for d in dims]
+            pres = [
+                self.acts[l + 1] if layer.activation.kind == "identity"
+                else np.empty((rows, dims[l + 1]))
+                for l, layer in enumerate(net.layers)
+            ]
+            deltas = [np.empty((rows, d)) for d in dims[1:]]
+            self.resid = np.empty((rows, dims[0]))
+        else:
+            self.acts = [a[:rows] for a in base.acts]
+            pres = [p.pre[:rows] for p in base.table]
+            deltas = [p.delta[:rows] for p in base.table]
+            self.resid = base.resid[:rows]
         self.grad, grad_views = _grad_buffer(net)
         self.table = [
             _LayerPass(
@@ -335,9 +343,14 @@ class _Workspace:
 
 
 def _workspace(net: DenseNet, rows: int) -> _Workspace:
+    """The net's workspace for `rows` stacked rows. A smaller pass, such as
+    an epoch's last partial batch, runs in the leading rows of a larger
+    workspace: train frees the workspaces every epoch, and rebuilding a
+    second allocation each time slowed small nets' training."""
     work = net._workspaces.get(rows)
     if work is None:
-        work = net._workspaces[rows] = _Workspace(net, rows)
+        larger = next((w for r, w in net._workspaces.items() if r > rows), None)
+        work = net._workspaces[rows] = _Workspace(net, rows, larger)
     return work
 
 
@@ -605,16 +618,19 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
             except NonFiniteLoss as exc:
                 raise TrainingDiverged(epoch, step, exc) from exc
             adam_step(net, grads, state, cfg.tau, *cfg.adam)
+        # The gradient and the workspaces (whose layer tables view it) are
+        # dead between steps: free them before the history pass allocates
+        # its own buffers. The next step rebuilds them; the trained net,
+        # usually a projector, needs neither.
+        del grads
+        net._grad = None
+        net._workspaces.clear()
         resid, _ = forward_batch(net, items)
         resid -= items
         data_loss = float(np.vdot(resid, resid)) / resid.size
         del resid  # freed before the probe pass allocates its own buffers
         probe_psi, probe_degenerate = sor_value(net, probe)
         history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
-    # The trained net usually goes on to serve as a projector, which needs
-    # neither the gradient buffer nor the workspaces.
-    net._grad = None
-    net._workspaces.clear()
     return net, history
 
 

@@ -127,18 +127,22 @@ def default_step_size(A: LinearOperator, tol: float = 1e-8,
     v /= math.sqrt(v.dot(v))
     lam_prev = 0.0
     lam = 0.0
-    for _ in range(max_iters):
-        w = A.adjoint(A.apply(v))
-        lam = float(np.dot(v, w))
-        if not math.isfinite(lam):
-            raise ValueError(f"default_step_size: non-finite estimate {lam}")
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            raise ValueError("default_step_size: zero operator")
-        v = w / norm
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            break
-        lam_prev = lam
+    # An inf or NaN entry makes inf - inf or inf * 0 inside the operator;
+    # the finiteness check reports it, not a RuntimeWarning. One errstate
+    # spans the loop because entering one costs about 1 us per step.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(max_iters):
+            w = A.adjoint(A.apply(v))
+            lam = float(np.dot(v, w))
+            if not math.isfinite(lam):
+                raise ValueError(f"default_step_size: non-finite estimate {lam}")
+            norm = math.sqrt(w.dot(w))
+            if norm == 0.0:
+                raise ValueError("default_step_size: zero operator")
+            v = w / norm
+            if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+                break
+            lam_prev = lam
     if lam <= 0.0:
         raise ValueError("default_step_size: could not estimate spectral norm")
     return 1.0 / lam

@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import gpgd.nets as nets_module
 from gpgd.nets import (
     PROBE_POINTS,
     Activation,
@@ -558,6 +560,63 @@ def test_train_lambda_zero_matches_replay_that_draws_z(mode):
             _, grads = loss_and_grad(replica, data[idx], zb, cfg, noise_seed)
             adam_step(replica, grads, state, cfg.tau, *cfg.adam)
     assert np.array_equal(trained.params_vector(), replica.params_vector())
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+def test_train_history_pass_runs_without_step_buffers(monkeypatch, lam):
+    # each epoch's history pass (forward_batch over the items, sor_value
+    # over the probes) runs after the gradient buffer, the workspaces and
+    # train's reference to the last gradient are released, so its buffers
+    # do not stack on top of them
+    net = make_net((5, 4, 5), seed=21)
+    data = np.random.default_rng(21).uniform(0, 1, (7, 5))
+    cfg = TrainConfig(lam=lam, epochs=3, batch_size=3, seed=5)
+    last_grad = []
+    seen = {"forward_batch": 0, "sor_value": 0}
+
+    def spy_loss_and_grad(*args, _real=nets_module.loss_and_grad):
+        loss, grad = _real(*args)
+        last_grad[:] = [weakref.ref(grad)]
+        return loss, grad
+
+    def spying(name):
+        real = getattr(nets_module, name)
+
+        def spy(target, *args):
+            assert target is net
+            assert net._grad is None, name
+            assert net._workspaces == {}, name
+            assert last_grad[0]() is None, name
+            seen[name] += 1
+            return real(target, *args)
+
+        return spy
+
+    monkeypatch.setattr(nets_module, "loss_and_grad", spy_loss_and_grad)
+    for name in seen:
+        monkeypatch.setattr(nets_module, name, spying(name))
+    trained, history = train(net, data, cfg)
+    # sor_value's probe forward goes through forward_batch as well
+    assert seen == {"forward_batch": 2 * cfg.epochs, "sor_value": cfg.epochs}
+    assert len(history) == cfg.epochs
+    assert trained._grad is None and trained._workspaces == {}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+def test_partial_batch_runs_in_the_full_batch_workspace(lam):
+    # a smaller batch after a full one runs in the leading rows of the full
+    # batch's buffers and gets the bits of a workspace of its own
+    net = make_net((6, 5, 3, 5, 6), seed=22)
+    rng = np.random.default_rng(22)
+    X, Z = rng.uniform(0, 1, (5, 6)), rng.uniform(0, 1, (5, 6))
+    cfg = TrainConfig(lam=lam, mode="PnP")
+    loss_ref, grad_ref = loss_and_grad(net.copy(), X[:3], Z[:3], cfg, noise_seed=4)
+    loss_and_grad(net, X, Z, cfg, noise_seed=3)
+    loss, grad = loss_and_grad(net, X[:3], Z[:3], cfg, noise_seed=4)
+    assert loss == loss_ref and np.array_equal(grad, grad_ref)
+    part, full = (net._workspaces[r] for r in sorted(net._workspaces))
+    assert np.shares_memory(part.acts[0], full.acts[0])
+    assert all(np.shares_memory(p.delta, f.delta) for p, f in zip(part.table, full.table))
 
 
 def test_loss_without_z_batch_only_at_lambda_zero():

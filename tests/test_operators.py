@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gpgd
 from gpgd.signals import SignalError
 
 from gpgd.operators import (
@@ -102,6 +108,32 @@ def test_adjoint_dense_identity():
 def test_adjoint_pixel_mask_zero_fills():
     op = PixelMask([0, 2], n=3)
     assert np.array_equal(op.adjoint([5.0, 7.0]), [5.0, 0.0, 7.0])
+
+
+@pytest.mark.parametrize("kept", [[0, 2, 2], [5, 0, 3, 0], [4, 4]])
+def test_pixel_mask_rejects_repeated_indices(kept):
+    # kept indices are sorted first, so a repeat sits next to its twin
+    # wherever it was given
+    with pytest.raises(OperatorError, match="distinct"):
+        PixelMask(kept, n=6)
+
+
+def test_pixel_mask_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use (about 1 MB of resident
+    # memory); building a mask must not pull it into a solve's process
+    code = (
+        "import sys\n"
+        "from gpgd.operators import PixelMask, make_inpainting_operator\n"
+        "PixelMask([3, 0, 2], n=5)\n"
+        "make_inpainting_operator(64, 0.6, 0)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(gpgd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_blur_subsample_adjoint_is_dense_transpose():

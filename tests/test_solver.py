@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,14 +265,16 @@ def test_default_step_size_norm_bits_and_public_calls(monkeypatch, make_op):
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_default_step_size_refuses_non_finite_operator(monkeypatch, bad):
     # the first power step's estimate is not finite: raise there rather
-    # than run every step and return NaN
+    # than run every step and return NaN; the inf - inf inside A^T A v
+    # must not surface as a RuntimeWarning first
     mat = np.eye(6)
     mat[2, 3] = bad
     A = DenseOperator(mat)
     calls = []
     apply = A.apply
     monkeypatch.setattr(A, "apply", lambda x: calls.append(1) or apply(x))
-    with np.errstate(invalid="ignore"):  # inf - inf inside A^T A v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"non-finite"):
             default_step_size(A)
     assert len(calls) == 1
