@@ -310,27 +310,19 @@ class _Workspace:
     per layer, with its pre-activation and upstream-gradient buffers (an
     identity layer's pre-activation buffer is its output buffer) and its
     views into the network's flat gradient buffer, kept as `grad`; with it
-    a step looks up no attributes. Given `base`, a workspace of more rows,
-    every buffer is the leading `rows` rows of base's and nothing is
-    allocated.
+    a step looks up no attributes.
     """
 
-    def __init__(self, net: DenseNet, rows: int, base: "_Workspace | None" = None):
+    def __init__(self, net: DenseNet, rows: int):
         dims = net.dims
-        if base is None:
-            self.acts = [np.empty((rows, d)) for d in dims]
-            pres = [
-                self.acts[l + 1] if layer.activation.kind == "identity"
-                else np.empty((rows, dims[l + 1]))
-                for l, layer in enumerate(net.layers)
-            ]
-            deltas = [np.empty((rows, d)) for d in dims[1:]]
-            self.resid = np.empty((rows, dims[0]))
-        else:
-            self.acts = [a[:rows] for a in base.acts]
-            pres = [p.pre[:rows] for p in base.table]
-            deltas = [p.delta[:rows] for p in base.table]
-            self.resid = base.resid[:rows]
+        self.acts = [np.empty((rows, d)) for d in dims]
+        pres = [
+            self.acts[l + 1] if layer.activation.kind == "identity"
+            else np.empty((rows, dims[l + 1]))
+            for l, layer in enumerate(net.layers)
+        ]
+        deltas = [np.empty((rows, d)) for d in dims[1:]]
+        self.resid = np.empty((rows, dims[0]))
         self.grad, grad_views = _grad_buffer(net)
         self.table = [
             _LayerPass(
@@ -343,15 +335,17 @@ class _Workspace:
 
 
 def _workspace(net: DenseNet, rows: int) -> _Workspace:
-    """The net's workspace for `rows` stacked rows. A smaller pass, such as
-    an epoch's last partial batch, runs in the leading rows of a larger
-    workspace: train frees the workspaces every epoch, and rebuilding a
-    second allocation each time slowed small nets' training."""
     work = net._workspaces.get(rows)
     if work is None:
-        larger = next((w for r, w in net._workspaces.items() if r > rows), None)
-        work = net._workspaces[rows] = _Workspace(net, rows, larger)
+        work = net._workspaces[rows] = _Workspace(net, rows)
     return work
+
+
+def _free_step_buffers(net: DenseNet) -> None:
+    """Drop the net's gradient buffer and its workspaces, whose layer tables
+    view it; the next loss_and_grad rebuilds both."""
+    net._grad = None
+    net._workspaces.clear()
 
 
 def _grad_buffer(net: DenseNet):
@@ -606,31 +600,33 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     # of uniform(size=...), which computes 0 + 1 * random().
     zbuf = np.empty((min(cfg.batch_size, count), n)) if cfg.lam != 0.0 else None
     pnp = cfg.mode == "PnP"
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(count)
-        for step, start in enumerate(range(0, count, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
-            xb = items[idx]
-            zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
-            noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
-            try:
-                _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
-            except NonFiniteLoss as exc:
-                raise TrainingDiverged(epoch, step, exc) from exc
-            adam_step(net, grads, state, cfg.tau, *cfg.adam)
-        # The gradient and the workspaces (whose layer tables view it) are
-        # dead between steps: free them before the history pass allocates
-        # its own buffers. The next step rebuilds them; the trained net,
-        # usually a projector, needs neither.
-        del grads
-        net._grad = None
-        net._workspaces.clear()
-        resid, _ = forward_batch(net, items)
-        resid -= items
-        data_loss = float(np.vdot(resid, resid)) / resid.size
-        del resid  # freed before the probe pass allocates its own buffers
-        probe_psi, probe_degenerate = sor_value(net, probe)
-        history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
+    try:
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(count)
+            for step, start in enumerate(range(0, count, cfg.batch_size)):
+                idx = perm[start : start + cfg.batch_size]
+                xb = items[idx]
+                zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
+                noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
+                try:
+                    _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
+                except NonFiniteLoss as exc:
+                    raise TrainingDiverged(epoch, step, exc) from exc
+                adam_step(net, grads, state, cfg.tau, *cfg.adam)
+            # The step buffers are dead between steps: free them before the
+            # history pass allocates its own. The next step rebuilds them.
+            del grads
+            _free_step_buffers(net)
+            resid, _ = forward_batch(net, items)
+            resid -= items
+            data_loss = float(np.vdot(resid, resid)) / resid.size
+            del resid  # freed before the probe pass allocates its own buffers
+            probe_psi, probe_degenerate = sor_value(net, probe)
+            history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
+    finally:
+        # Also at epochs = 0 and on a diverged step: the net, usually a
+        # projector next, keeps no buffer of an earlier step.
+        _free_step_buffers(net)
     return net, history
 
 

@@ -13,6 +13,7 @@ from gpgd.nets import (
     DenseNet,
     NonFiniteLoss,
     TrainConfig,
+    TrainingDiverged,
     adam_state_for,
     adam_step,
     forward,
@@ -602,21 +603,22 @@ def test_train_history_pass_runs_without_step_buffers(monkeypatch, lam):
     assert trained._grad is None and trained._workspaces == {}
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.4])
-def test_partial_batch_runs_in_the_full_batch_workspace(lam):
-    # a smaller batch after a full one runs in the leading rows of the full
-    # batch's buffers and gets the bits of a workspace of its own
-    net = make_net((6, 5, 3, 5, 6), seed=22)
-    rng = np.random.default_rng(22)
-    X, Z = rng.uniform(0, 1, (5, 6)), rng.uniform(0, 1, (5, 6))
-    cfg = TrainConfig(lam=lam, mode="PnP")
-    loss_ref, grad_ref = loss_and_grad(net.copy(), X[:3], Z[:3], cfg, noise_seed=4)
-    loss_and_grad(net, X, Z, cfg, noise_seed=3)
-    loss, grad = loss_and_grad(net, X[:3], Z[:3], cfg, noise_seed=4)
-    assert loss == loss_ref and np.array_equal(grad, grad_ref)
-    part, full = (net._workspaces[r] for r in sorted(net._workspaces))
-    assert np.shares_memory(part.acts[0], full.acts[0])
-    assert all(np.shares_memory(p.delta, f.delta) for p, f in zip(part.table, full.table))
+@pytest.mark.parametrize("epochs, tau", [(0, 0.01), (2, 1e300)], ids=["no-epoch", "diverged"])
+def test_train_frees_step_buffers_on_every_exit(epochs, tau):
+    # buffers left by an earlier step are freed when training runs no epoch,
+    # and a diverged step's buffers are freed before TrainingDiverged leaves
+    net = make_net((4, 3, 4), seed=23)
+    data = np.random.default_rng(23).uniform(0, 1, (10, 4))
+    cfg = TrainConfig(lam=0.4, epochs=epochs, batch_size=4, seed=6, tau=tau)
+    loss_and_grad(net, data[:4], data[4:8], cfg)
+    assert net._grad is not None and net._workspaces
+    with np.errstate(all="ignore"):  # a diverging step overflows first
+        if epochs:
+            with pytest.raises(TrainingDiverged):
+                train(net, data, cfg)
+        else:
+            train(net, data, cfg)
+    assert net._grad is None and net._workspaces == {}
 
 
 def test_loss_without_z_batch_only_at_lambda_zero():
