@@ -135,7 +135,8 @@ def _gaussians(n, count, rng, max_blobs: int = 2):
                 / (2.0 * width**2)
             )
             items[i] += amp * blob
-    return np.clip(items, 0.0, 1.0).reshape(count, n), (side, side)
+    # clipped in place: a clipped copy would leave a count x n hole in the heap
+    return np.clip(items, 0.0, 1.0, out=items).reshape(count, n), (side, side)
 
 
 def _sparse_combos(n, count, rng, k: int | None = None):

@@ -10,8 +10,10 @@ All parameters of a network live in one flat float64 vector (`DenseNet.
 params`, checkpoint order); gradients and Adam moments use the same layout,
 so an Adam step is a few elementwise operations, run block by block. A
 training step runs one
-forward and one backward pass over the data rows stacked on the z rows, in
-buffers the network keeps per row count.
+forward and one backward pass over the data rows stacked on the z rows. Its
+buffers, the gradient and one workspace per row count, are views of one
+flat scratch block per network, the arena, which training also lends to
+each epoch's history pass.
 """
 
 from __future__ import annotations
@@ -167,9 +169,11 @@ class DenseNet:
             bias[...] = layer.bias
             self.layers.append(DenseLayer(weight, bias, layer.activation))
         self.latent_index = latent_index
-        # Training buffers: the gradient with its per-layer views, and one
-        # _Workspace per stacked row count; made on first use.
-        self._grad: tuple[np.ndarray, list] | None = None
+        # Training scratch, made on first use: the arena, a flat block that
+        # holds the gradient at its start and, after it, the buffers of one
+        # _Workspace per stacked row count, every row count at the same
+        # offset.
+        self._arena: np.ndarray | None = None
         self._workspaces: dict[int, _Workspace] = {}
 
     @property
@@ -232,19 +236,25 @@ def make_net(dims, seed: int, slope: float = 0.01,
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least one layer")
-    rng = np.random.default_rng(seed)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        weight = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
         act = (
             Activation("identity")
             if i == len(dims) - 2
             else Activation("leaky_relu", slope)
         )
-        layers.append(DenseLayer(weight, np.zeros(fan_out), act))
+        # a read-only zero view: the weights are drawn into the net's own
+        # parameter vector below, so no full-size temporary is made
+        layers.append(DenseLayer(np.broadcast_to(0.0, (fan_out, fan_in)),
+                                 np.zeros(fan_out), act))
     if latent_index is None:
         latent_index = int(np.argmin(dims[1:]))
-    return DenseNet(layers, latent_index)
+    net = DenseNet(layers, latent_index)
+    rng = np.random.default_rng(seed)
+    for fan_in, (weight, _) in zip(dims, net.layer_views(net.params)):
+        rng.standard_normal(out=weight)
+        weight *= math.sqrt(2.0 / fan_in)
+    return net
 
 
 def forward(net: DenseNet, x) -> np.ndarray:
@@ -259,11 +269,14 @@ def forward(net: DenseNet, x) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def forward_batch(net: DenseNet, X: np.ndarray):
+def forward_batch(net: DenseNet, X: np.ndarray, scratch: np.ndarray | None = None):
     """Evaluate a (batch, n) input, keeping only the running activation.
 
     Returns (output, None): no per-layer caches are kept, because the
-    training pass keeps its own in the network's workspaces.
+    training pass keeps its own in the network's workspaces. The two
+    buffers of batch * max(dims[1:]) floats that the pass needs are fresh,
+    or the start of a flat float64 `scratch` block, which the output then
+    views.
     """
     a = np.asarray(X, dtype=np.float64)
     rows = a.shape[0]
@@ -271,7 +284,10 @@ def forward_batch(net: DenseNet, X: np.ndarray):
     # Two flat buffers take turns: `spare` is free, `other` may hold a.
     # A layer's pre-activation goes to `spare`; a leaky ReLU then writes
     # its output over `other`, whose input is dead once the matmul is done.
-    spare, other = np.empty(size), np.empty(size)
+    if scratch is None:
+        spare, other = np.empty(size), np.empty(size)
+    else:
+        spare, other = _take(scratch, 0, (size,), (size,))
     for layer in net.layers:
         shape = (rows, layer.weight.shape[0])
         z = spare[: shape[0] * shape[1]].reshape(shape)
@@ -302,28 +318,71 @@ class _LayerPass(NamedTuple):
     delta_below: np.ndarray | None  # the layer below's delta; None for the first
 
 
+def _take(block: np.ndarray, start: int, *shapes) -> list[np.ndarray]:
+    """Consecutive C-ordered views of the given shapes into the flat block,
+    from offset start on."""
+    views = []
+    for shape in shapes:
+        size = math.prod(shape)
+        if start + size > block.size:
+            raise ValueError(f"scratch of {block.size} floats is too small")
+        views.append(block[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _workspace_widths(net: DenseNet) -> list[int]:
+    """Column counts of a _Workspace's buffers in arena order: the input and
+    every layer's output, the leaky-ReLU layers' pre-activations, every
+    layer's upstream gradient, and resid."""
+    dims = net.dims
+    hidden = [d for d, layer in zip(dims[1:], net.layers)
+              if layer.activation.kind != "identity"]
+    return dims + hidden + dims[1:] + dims[:1]
+
+
+def _step_floats(net: DenseNet, rows: int) -> int:
+    """Arena floats of a training step over `rows` stacked rows: the
+    gradient, then a _Workspace."""
+    return net.params.size + rows * sum(_workspace_widths(net))
+
+
+def _history_floats(net: DenseNet, count: int) -> int:
+    """Arena floats of train's history pass over `count` items and the
+    PROBE_POINTS probes: forward_batch's two buffers, then the probes'
+    z - net(z) in sor_value."""
+    return (2 * max(count, PROBE_POINTS) * max(net.dims[1:])
+            + PROBE_POINTS * net.n)
+
+
 class _Workspace:
-    """Buffers of one forward/backward pass over `rows` stacked rows.
+    """Buffers of one forward/backward pass over `rows` stacked rows, in
+    the network's arena after the gradient.
 
     `acts` holds each layer's input (acts[0] is the net input) and the net
     output; `resid` is scratch for z - net(z). `table` holds one _LayerPass
     per layer, with its pre-activation and upstream-gradient buffers (an
     identity layer's pre-activation buffer is its output buffer) and its
     views into the network's flat gradient buffer, kept as `grad`; with it
-    a step looks up no attributes.
+    a step looks up no attributes. Workspaces of every row count start at
+    the same offset: a step writes each buffer before it reads it, so none
+    carries anything from one step to the next.
     """
 
     def __init__(self, net: DenseNet, rows: int):
         dims = net.dims
-        self.acts = [np.empty((rows, d)) for d in dims]
+        arena = _arena(net, _step_floats(net, rows))
+        self.grad = arena[: net.params.size]
+        grad_views = _split(self.grad, dims)
+        views = iter(_take(arena, self.grad.size,
+                           *((rows, w) for w in _workspace_widths(net))))
+        self.acts = [next(views) for _ in dims]
         pres = [
-            self.acts[l + 1] if layer.activation.kind == "identity"
-            else np.empty((rows, dims[l + 1]))
+            self.acts[l + 1] if layer.activation.kind == "identity" else next(views)
             for l, layer in enumerate(net.layers)
         ]
-        deltas = [np.empty((rows, d)) for d in dims[1:]]
-        self.resid = np.empty((rows, dims[0]))
-        self.grad, grad_views = _grad_buffer(net)
+        deltas = [next(views) for _ in dims[1:]]
+        self.resid = next(views)
         self.table = [
             _LayerPass(
                 layer.weight, layer.weight.T, layer.bias,
@@ -341,19 +400,20 @@ def _workspace(net: DenseNet, rows: int) -> _Workspace:
     return work
 
 
-def _free_step_buffers(net: DenseNet) -> None:
-    """Drop the net's gradient buffer and its workspaces, whose layer tables
-    view it; the next loss_and_grad rebuilds both."""
-    net._grad = None
+def _free_arena(net: DenseNet) -> None:
+    """Drop the net's arena and the workspaces that view it; the next
+    loss_and_grad rebuilds them."""
+    net._arena = None
     net._workspaces.clear()
 
 
-def _grad_buffer(net: DenseNet):
-    """The network's flat gradient buffer and its per-layer views."""
-    if net._grad is None:
-        grad = np.empty_like(net.params)
-        net._grad = (grad, _split(grad, net.dims))
-    return net._grad
+def _arena(net: DenseNet, floats: int) -> np.ndarray:
+    """The net's arena, first replaced by a block of `floats` floats if it
+    is smaller; the views of a replaced block are dropped."""
+    if net._arena is None or net._arena.size < floats:
+        _free_arena(net)
+        net._arena = np.empty(floats)
+    return net._arena
 
 
 def _forward(work: _Workspace) -> np.ndarray:
@@ -442,12 +502,19 @@ class SorResult(NamedTuple):
     degenerate: int
 
 
-def sor_value(net: DenseNet, z_batch) -> SorResult:
+def sor_value(net: DenseNet, z_batch, scratch: np.ndarray | None = None) -> SorResult:
     """Empirical orthogonality penalty (1/s) sum psi(z_i); degenerate
-    samples contribute zero and are counted. Value only: no gradient."""
+    samples contribute zero and are counted. Value only: no gradient.
+
+    A flat float64 `scratch` block, if given, holds forward_batch's two
+    buffers and then psi_rows' z - net(z): s * (2 max(dims[1:]) + n)
+    floats."""
     Z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
-    out, _ = forward_batch(net, Z)
-    psi_vals, degenerate = psi_rows(out, Z)
+    out, _ = forward_batch(net, Z, scratch=scratch)
+    R = None
+    if scratch is not None:
+        (R,) = _take(scratch, 2 * Z.shape[0] * max(net.dims[1:]), Z.shape)
+    psi_vals, degenerate = psi_rows(out, Z, R=R)
     return SorResult(float(psi_vals.sum() / Z.shape[0]),
                      int(np.count_nonzero(degenerate)))
 
@@ -466,7 +533,8 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
     backward pass as stacked rows. At lam = 0 no term reads z, and
     z_batch may be None. The gradient is a flat vector in the parameter
     layout (see DenseNet.layer_views); it is the network's own buffer,
-    overwritten by the next call on the same network.
+    overwritten by the next call on the same network and, inside train,
+    by each epoch's history pass.
     """
     X = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if X.shape[1] != net.n:
@@ -598,35 +666,38 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     count = items.shape[0]
     # The z batch is drawn into one buffer; random(out=...) gives the bits
     # of uniform(size=...), which computes 0 + 1 * random().
-    zbuf = np.empty((min(cfg.batch_size, count), n)) if cfg.lam != 0.0 else None
+    batch = min(cfg.batch_size, count)
+    zbuf = np.empty((batch, n)) if cfg.lam != 0.0 else None
     pnp = cfg.mode == "PnP"
     try:
+        # One arena for the whole run, sized for the largest step and for
+        # the history pass, which reuses it once the epoch's steps are done.
+        rows = 2 * batch if cfg.lam != 0.0 else batch  # data rows, then z rows
+        arena = _arena(net, max(_step_floats(net, rows), _history_floats(net, count)))
         for epoch in range(cfg.epochs):
             perm = shuffle_rng.permutation(count)
-            for step, start in enumerate(range(0, count, cfg.batch_size)):
-                idx = perm[start : start + cfg.batch_size]
-                xb = items[idx]
-                zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
-                noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
-                try:
-                    _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
-                except NonFiniteLoss as exc:
-                    raise TrainingDiverged(epoch, step, exc) from exc
-                adam_step(net, grads, state, cfg.tau, *cfg.adam)
-            # The step buffers are dead between steps: free them before the
-            # history pass allocates its own. The next step rebuilds them.
-            del grads
-            _free_step_buffers(net)
-            resid, _ = forward_batch(net, items)
+            # A diverging step overflows before its loss turns non-finite;
+            # the loss check then raises TrainingDiverged.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step, start in enumerate(range(0, count, cfg.batch_size)):
+                    idx = perm[start : start + cfg.batch_size]
+                    xb = items[idx]
+                    zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
+                    noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
+                    try:
+                        _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
+                    except NonFiniteLoss as exc:
+                        raise TrainingDiverged(epoch, step, exc) from exc
+                    adam_step(net, grads, state, cfg.tau, *cfg.adam)
+            resid, _ = forward_batch(net, items, scratch=arena)
             resid -= items
             data_loss = float(np.vdot(resid, resid)) / resid.size
-            del resid  # freed before the probe pass allocates its own buffers
-            probe_psi, probe_degenerate = sor_value(net, probe)
+            probe_psi, probe_degenerate = sor_value(net, probe, scratch=arena)
             history.append(EpochRecord(epoch, data_loss, probe_psi, probe_degenerate))
     finally:
         # Also at epochs = 0 and on a diverged step: the net, usually a
-        # projector next, keeps no buffer of an earlier step.
-        _free_step_buffers(net)
+        # projector next, keeps no scratch of its training.
+        _free_arena(net)
     return net, history
 
 
@@ -661,7 +732,7 @@ def save_checkpoint(net: DenseNet, path, train_key: str | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii"))
         fh.write(b"\n")
-        fh.write(net.params.astype("<f8", copy=False).tobytes())
+        fh.write(net.params.astype("<f8", copy=False).data)
 
 
 def _read_header(line: bytes) -> dict:

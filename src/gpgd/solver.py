@@ -244,9 +244,14 @@ def trace_to_csv(trace: GpgdTrace, path) -> None:
     """Columns iter, rel_err, psnr_db, residual (empty cells when absent)
     of a one-vector trace."""
     _one_vector(trace)
+    rows = len(trace)
+
+    def column(values):  # repr of each entry as a Python float
+        return [""] * rows if values is None else map(repr, values.tolist())
+
+    text = "".join(
+        f"{i},{rel},{ps},{res}\n" for i, rel, ps, res in zip(
+            range(rows), column(trace.rel_err), column(trace.psnr_db),
+            column(trace.residual)))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("iter,rel_err,psnr_db,residual\n")
-        for i in range(len(trace)):
-            rel = "" if trace.rel_err is None else repr(float(trace.rel_err[i]))
-            ps = "" if trace.psnr_db is None else repr(float(trace.psnr_db[i]))
-            fh.write(f"{i},{rel},{ps},{repr(float(trace.residual[i]))}\n")
+        fh.write("iter,rel_err,psnr_db,residual\n" + text)

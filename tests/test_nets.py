@@ -1,5 +1,6 @@
+import math
 import tracemalloc
-import weakref
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ def test_forward_dimension_mismatch():
 def test_net_requires_matching_in_out():
     with pytest.raises(ValueError):
         DenseNet([DenseLayer(np.zeros((3, 5)), np.zeros(3), Activation("identity"))])
+
+
+def test_make_net_draws_he_weights_layer_by_layer():
+    # the weights go straight into the parameter vector with the bits of a
+    # fresh (fan_out, fan_in) draw per layer, scaled by sqrt(2 / fan_in)
+    dims = (6, 4, 3, 6)
+    net = make_net(dims, seed=47)
+    rng = np.random.default_rng(47)
+    for fan_in, fan_out, layer in zip(dims, dims[1:], net.layers):
+        expected = rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in)
+        assert np.array_equal(layer.weight, expected)
+        assert np.array_equal(layer.bias, np.zeros(fan_out))
+    assert [l.activation.kind for l in net.layers] == ["leaky_relu"] * 2 + ["identity"]
+    assert net.latent_index == 1
+
+
+def test_forward_output_does_not_view_the_arena():
+    # forward (and so NetProjector) returns fresh arrays, which the next
+    # training step cannot overwrite
+    net = make_net((5, 4, 5), seed=48)
+    X = np.random.default_rng(48).uniform(0, 1, (6, 5))
+    loss_and_grad(net, X, X, TrainConfig(lam=0.4))
+    out = forward(net, X)
+    assert not np.shares_memory(out, net._arena)
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
@@ -564,61 +589,101 @@ def test_train_lambda_zero_matches_replay_that_draws_z(mode):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.4])
-def test_train_history_pass_runs_without_step_buffers(monkeypatch, lam):
+def test_train_history_pass_runs_in_the_arena(monkeypatch, lam):
     # each epoch's history pass (forward_batch over the items, sor_value
-    # over the probes) runs after the gradient buffer, the workspaces and
-    # train's reference to the last gradient are released, so its buffers
-    # do not stack on top of them
-    net = make_net((5, 4, 5), seed=21)
-    data = np.random.default_rng(21).uniform(0, 1, (7, 5))
-    cfg = TrainConfig(lam=lam, epochs=3, batch_size=3, seed=5)
-    last_grad = []
+    # over the probes) runs in the net's arena, and after the first epoch
+    # neither the steps nor the history pass allocate a large array: the
+    # history buffers alone are 2 x 512 rows x 256 x 8 B = 2 MiB
+    net = make_net((256, 64, 256), seed=21)
+    data = np.random.default_rng(21).uniform(0, 1, (40, 256))
+    cfg = TrainConfig(lam=lam, epochs=4, batch_size=16, seed=5)
     seen = {"forward_batch": 0, "sor_value": 0}
-
-    def spy_loss_and_grad(*args, _real=nets_module.loss_and_grad):
-        loss, grad = _real(*args)
-        last_grad[:] = [weakref.ref(grad)]
-        return loss, grad
+    growth = []
 
     def spying(name):
         real = getattr(nets_module, name)
 
-        def spy(target, *args):
+        def spy(target, *args, scratch=None):
             assert target is net
-            assert net._grad is None, name
-            assert net._workspaces == {}, name
-            assert last_grad[0]() is None, name
+            assert np.shares_memory(scratch, net._arena), name
             seen[name] += 1
-            return real(target, *args)
+            result = real(target, *args, scratch=scratch)
+            if name == "sor_value":  # the last call of an epoch
+                current, peak = tracemalloc.get_traced_memory()
+                growth.append(peak - start[0])
+                tracemalloc.reset_peak()
+                start[0] = current
+            return result
 
         return spy
 
-    monkeypatch.setattr(nets_module, "loss_and_grad", spy_loss_and_grad)
     for name in seen:
         monkeypatch.setattr(nets_module, name, spying(name))
-    trained, history = train(net, data, cfg)
+    tracemalloc.start()
+    try:
+        start = [tracemalloc.get_traced_memory()[0]]
+        trained, history = train(net, data, cfg)
+    finally:
+        tracemalloc.stop()
     # sor_value's probe forward goes through forward_batch as well
     assert seen == {"forward_batch": 2 * cfg.epochs, "sor_value": cfg.epochs}
     assert len(history) == cfg.epochs
-    assert trained._grad is None and trained._workspaces == {}
+    assert growth[0] > 2 * 1024 * 1024  # the arena, made before epoch 0
+    assert max(growth[1:]) < 128 * 1024, growth
+    assert trained._arena is None
 
 
 @pytest.mark.parametrize("epochs, tau", [(0, 0.01), (2, 1e300)], ids=["no-epoch", "diverged"])
 def test_train_frees_step_buffers_on_every_exit(epochs, tau):
-    # buffers left by an earlier step are freed when training runs no epoch,
-    # and a diverged step's buffers are freed before TrainingDiverged leaves
+    # the arena and the buffers that view it, left by an earlier step, are
+    # freed when training runs no epoch, and a diverged step's are freed
+    # before TrainingDiverged leaves
     net = make_net((4, 3, 4), seed=23)
     data = np.random.default_rng(23).uniform(0, 1, (10, 4))
     cfg = TrainConfig(lam=0.4, epochs=epochs, batch_size=4, seed=6, tau=tau)
     loss_and_grad(net, data[:4], data[4:8], cfg)
-    assert net._grad is not None and net._workspaces
-    with np.errstate(all="ignore"):  # a diverging step overflows first
-        if epochs:
-            with pytest.raises(TrainingDiverged):
-                train(net, data, cfg)
-        else:
+    assert net._arena is not None and net._workspaces
+    if epochs:
+        with pytest.raises(TrainingDiverged):
             train(net, data, cfg)
-    assert net._grad is None and net._workspaces == {}
+    else:
+        train(net, data, cfg)
+    assert net._arena is None and net._workspaces == {}
+
+
+def test_diverging_train_raises_training_diverged_when_warnings_are_errors():
+    # the step that overflows raises TrainingDiverged, not a RuntimeWarning
+    net = make_net((4, 3, 4), seed=23)
+    data = np.random.default_rng(23).uniform(0, 1, (10, 4))
+    cfg = TrainConfig(lam=0.4, epochs=2, batch_size=4, seed=6, tau=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="epoch 0, step 1") as exc:
+            train(net, data, cfg)
+    assert (exc.value.epoch, exc.value.step) == (0, 1)
+
+
+@pytest.mark.parametrize("mode", ["AE", "PnP"])
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+def test_workspaces_sharing_the_arena_match_fresh_nets(mode, lam):
+    # workspaces of every row count start at the same arena offset; a pass
+    # over 7, 3, then 7 rows (and 9, which replaces the arena) gives the
+    # bits of the same call on a fresh copy of the net
+    rng = np.random.default_rng(43)
+    net = make_net((6, 5, 3, 5, 6), seed=44)
+    cfg = TrainConfig(lam=lam, mode=mode, xi=0.1)
+    shared = net.copy()
+    for rows in (7, 3, 7, 9):
+        X = rng.uniform(0, 1, (rows, 6))
+        Z = rng.uniform(0, 1, (rows, 6))
+        loss, grad = loss_and_grad(shared, X, Z, cfg, noise_seed=rows)
+        fresh_loss, fresh_grad = loss_and_grad(net.copy(), X, Z, cfg, noise_seed=rows)
+        assert loss == fresh_loss and np.array_equal(grad, fresh_grad), rows
+        if rows == 3:
+            small, large = (shared._workspaces[r * (2 if lam else 1)] for r in (3, 7))
+            assert np.shares_memory(small.acts[0], large.acts[0])
+            assert np.shares_memory(grad, shared._arena)
+    assert len(shared._workspaces) == 1  # the 7- and 3-row ones viewed the old arena
 
 
 def test_loss_without_z_batch_only_at_lambda_zero():

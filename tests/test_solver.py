@@ -313,6 +313,39 @@ def test_trace_csv(tmp_path):
     assert len(lines) == len(trace) + 1
 
 
+def _trace_csv_per_line(trace, path):
+    # the one-line-per-write reference writer that trace_to_csv replaced
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("iter,rel_err,psnr_db,residual\n")
+        for i in range(len(trace)):
+            rel = "" if trace.rel_err is None else repr(float(trace.rel_err[i]))
+            ps = "" if trace.psnr_db is None else repr(float(trace.psnr_db[i]))
+            fh.write(f"{i},{rel},{ps},{repr(float(trace.residual[i]))}\n")
+
+
+@pytest.mark.parametrize("absent", [(), ("rel_err",), ("psnr_db",),
+                                    ("rel_err", "psnr_db")])
+def test_trace_csv_matches_per_line_writer_byte_for_byte(tmp_path, absent):
+    extremes = np.array([5e-324, 2.2250738585072014e-308, 1e-300, 0.1,
+                         1.0 / 3.0, 1e22, 1.7976931348623157e308, 0.0])
+    rng = np.random.default_rng(46)
+    rows = extremes.size + 151
+
+    def column():
+        scales = 10.0 ** rng.integers(-300, 300, 151)
+        return np.concatenate([extremes, rng.standard_normal(151) * scales])
+
+    psnr_db = column()
+    psnr_db[[0, 9]] = np.inf  # an exact reconstruction
+    records = {"rel_err": np.abs(column()), "psnr_db": psnr_db}
+    trace = GpgdTrace(gamma=0.5, residual=np.abs(column()),
+                      iterates=np.zeros((rows, 2)),
+                      **{k: None if k in absent else v for k, v in records.items()})
+    trace_to_csv(trace, tmp_path / "new.csv")
+    _trace_csv_per_line(trace, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_early_stop_off_by_default_runs_full_budget():
     A = DenseOperator(np.eye(4))
     proj = ExactProjector(KSparse(1, 4))
