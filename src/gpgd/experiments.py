@@ -299,7 +299,7 @@ def _split_items(cfg: ExperimentConfig, ds: Dataset):
 def _train_key(train_items: np.ndarray, dims, tcfg: TrainConfig) -> str:
     """Content key of one prior: sha256 over the training items' bytes, the
     net dims and every TrainConfig field, floats written with repr."""
-    h = hashlib.sha256(np.ascontiguousarray(train_items, dtype="<f8").tobytes())
+    h = hashlib.sha256(np.ascontiguousarray(train_items, dtype="<f8"))
     text = f"dims={list(dims)!r}\n" + "".join(
         f"{f.name}={getattr(tcfg, f.name)!r}\n" for f in fields(tcfg)
     )
@@ -473,15 +473,12 @@ def _solve_batch(A, Y, P, run_cfg: GpgdConfig, truth, conv_threshold: float,
     started = time.perf_counter()
     _, trace = gpgd_run(A, Y, P, run_cfg, ground_truth=truth)
     seconds = time.perf_counter() - started
-    cells = []
-    for item in range(len(Y)):
-        one = trace.row(item)
-        idx, x_star = best_iterate(one)
-        cells.append((idx, float(one.psnr_db[idx]),
-                      convergence_iteration(one, x_star, conv_threshold)))
-        if traces_dir is not None:
-            trace_to_csv(one, traces_dir / f"trace_{name}_item{item}.csv")
-    return seconds, cells
+    idx, x_star = best_iterate(trace)
+    convs = convergence_iteration(trace, x_star, conv_threshold)
+    if traces_dir is not None:
+        for item in range(len(Y)):
+            trace_to_csv(trace.row(item), traces_dir / f"trace_{name}_item{item}.csv")
+    return seconds, list(zip(idx.tolist(), trace.psnr_db.max(axis=1).tolist(), convs))
 
 
 def _summarize(cells, lambdas) -> list[dict]:
@@ -619,10 +616,10 @@ def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
 
 
 def _recover(vcfg: VerifyConfig, A, gamma: float, y, x_true):
-    """Trace of exact k-sparse projected gradient descent from y."""
+    """Error record of exact k-sparse projected gradient descent from y."""
     run_cfg = GpgdConfig(gamma=gamma, max_iters=vcfg.iters)
     proj = ExactProjector(KSparse(vcfg.k, vcfg.n))
-    return gpgd_run(A, y, proj, run_cfg, ground_truth=x_true)[1]
+    return gpgd_run(A, y, proj, run_cfg, ground_truth=x_true)[1].err[0]
 
 
 def _theorem1_entry(name: str, vcfg: VerifyConfig, instances, violations,
@@ -641,14 +638,14 @@ def _domination_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationE
     violations = []
     worst_margin = math.inf
     for seed, A, gamma, delta, x_true, _ in instances:
-        trace = _recover(vcfg, A, gamma, A.apply(x_true), x_true)
+        err = _recover(vcfg, A, gamma, A.apply(x_true), x_true)
         bound = theory.theorem1_bound(
-            delta, _GOLDEN_BETA, gamma, float(trace.err[0]), 0.0, vcfg.iters
+            delta, _GOLDEN_BETA, gamma, float(err[0]), 0.0, vcfg.iters
         )
-        margin = float(np.min(bound.bounds + 1e-9 - trace.err))
+        margin = float(np.min(bound.bounds + 1e-9 - err))
         worst_margin = min(worst_margin, margin)
-        if np.any(trace.err > bound.bounds + 1e-9):
-            bad = int(np.argmax(trace.err - bound.bounds))
+        if np.any(err > bound.bounds + 1e-9):
+            bad = int(np.argmax(err - bound.bounds))
             violations.append(f"seed {seed} iter {bad}")
     margin_text = worst_margin if instances else "n/a"
     return _theorem1_entry(name, vcfg, instances, violations,
@@ -662,10 +659,10 @@ def _stability_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationEn
         rate = delta * _GOLDEN_BETA
         e = vcfg.sigma * rng.standard_normal(A.m)
         atn = float(np.linalg.norm(A.adjoint(e)))
-        trace = _recover(vcfg, A, gamma, A.apply(x_true) + e, x_true)
-        cap = rate**vcfg.iters * trace.err[0] + gamma / (1.0 - rate) * atn + 1e-9
-        if trace.err[-1] > cap:
-            violations.append(f"seed {seed}: {trace.err[-1]} > {cap}")
+        err = _recover(vcfg, A, gamma, A.apply(x_true) + e, x_true)
+        cap = rate**vcfg.iters * err[0] + gamma / (1.0 - rate) * atn + 1e-9
+        if err[-1] > cap:
+            violations.append(f"seed {seed}: {err[-1]} > {cap}")
     return _theorem1_entry(name, vcfg, instances, violations)
 
 

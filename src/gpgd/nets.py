@@ -199,17 +199,6 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet(self.layers, self.latent_index)
 
-    def params_vector(self) -> np.ndarray:
-        return self.params.copy()
-
-    def set_params_vector(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != self.params.shape:
-            raise ValueError(
-                f"parameter vector length {vec.size}, expected {self.params.size}"
-            )
-        self.params[:] = vec
-
 
 class NetProjector:
     """Use a trained network as the projection inside the solver; like

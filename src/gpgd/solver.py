@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LinearOperator
-from .signals import as_rows, as_vector, psnr, row_norms
+from .signals import as_rows, psnr, row_norms
 
 __all__ = [
     "GpgdConfig",
@@ -33,14 +33,13 @@ __all__ = [
 
 
 class SolverDivergence(RuntimeError):
-    """Iterate became non-finite. row is the first row of a stack run that
-    did (None for a one-vector run); norm is the norm of that row's finite
-    entries."""
+    """Iterate became non-finite. row is the first row of the run's batch
+    that did (0 for a one-vector run); norm is the norm of that row's
+    finite entries."""
 
-    def __init__(self, iteration: int, norm: float, row: int | None = None):
-        where = "" if row is None else f" in row {row}"
+    def __init__(self, iteration: int, norm: float, row: int):
         super().__init__(
-            f"non-finite iterate at iteration {iteration}{where} (norm {norm!r})"
+            f"non-finite iterate at iteration {iteration} in row {row} (norm {norm!r})"
         )
         self.iteration = iteration
         self.norm = norm
@@ -68,19 +67,18 @@ class GpgdConfig:
 class GpgdTrace:
     """One run's records; iterate 0 is the initial point.
 
-    A one-vector run keeps the (max_iters + 1, n) stack of its iterates
-    and records of length max_iters + 1. A run on b stacked rows keeps a
-    list of b such iterate stacks, one per row, and records
-    (b, max_iters + 1); row(r) is row r's own one-vector trace.
-    residual[..., i] = ||A x_i - y||. err/rel_err/psnr_db are set only when
+    A run on b rows (b = 1 for a one-vector y) keeps a list of b
+    (max_iters + 1, n) iterate stacks, one per row, and records
+    (b, max_iters + 1); row(r) is row r as a batch of 1.
+    residual[r, i] = ||A x_i - y_r||. err/rel_err/psnr_db are set only when
     ground truth is supplied (rel_err not when a ground-truth row has norm
-    0). proj_err[..., i] = ||P(x_i) - ground_truth|| for the projection
+    0). proj_err[r, i] = ||P(x_i) - ground_truth_r|| for the projection
     used to form x_{i+1} (length max_iters).
     """
 
     gamma: float
     residual: np.ndarray
-    iterates: np.ndarray | list[np.ndarray]
+    iterates: list[np.ndarray]
     err: np.ndarray | None = None
     rel_err: np.ndarray | None = None
     psnr_db: np.ndarray | None = None
@@ -88,32 +86,23 @@ class GpgdTrace:
 
     @property
     def best_index(self):
-        """Index of the best-PSNR iterate (lowest index wins a tie): an int
-        for a one-vector run, an array with one index per row for a stack."""
+        """Each row's best-PSNR iterate index (lowest wins a tie), (b,)."""
         if self.psnr_db is None:
             return None
-        best = np.argmax(self.psnr_db, axis=-1)
-        return int(best) if best.ndim == 0 else best
+        return np.argmax(self.psnr_db, axis=1)
 
     def __len__(self) -> int:
-        return self.residual.shape[-1]
+        return self.residual.shape[1]
 
     def row(self, r: int) -> "GpgdTrace":
-        """Row r of a stack run as a one-vector trace; it shares the run's
-        arrays."""
+        """Row r as a trace of a batch of 1; it shares the run's arrays."""
         def pick(a):
-            return None if a is None else a[r]
+            return None if a is None else a[r:r + 1]
 
-        return GpgdTrace(gamma=self.gamma, residual=self.residual[r],
-                         iterates=self.iterates[r], err=pick(self.err),
+        return GpgdTrace(gamma=self.gamma, residual=pick(self.residual),
+                         iterates=self.iterates[r:r + 1], err=pick(self.err),
                          rel_err=pick(self.rel_err), psnr_db=pick(self.psnr_db),
                          proj_err=pick(self.proj_err))
-
-
-def _one_vector(trace: GpgdTrace) -> None:
-    if isinstance(trace.iterates, list):
-        raise ValueError("expected a one-vector trace; take row r of a stack "
-                         "run with trace.row(r)")
 
 
 def default_step_size(A: LinearOperator, tol: float = 1e-8,
@@ -153,15 +142,16 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
     """Run the projected gradient iteration and record its trace.
 
     y is one measurement vector (m,) or a stack (b, m) of them, one per
-    row, solved together. P is called once per iteration with the iterate
-    in that same shape: for one vector any callable R^n -> R^n works (exact
-    projection, perturbed projection, or a trained network); for a stack,
-    P must map each row (exact projections and network projectors do).
-    ground_truth and cfg.x0 are one vector, shared by every row, or one row
-    per measurement. Row r of a stack run equals the one-vector run on y[r]
+    row, solved together; the trace has b rows either way, b = 1 for one
+    vector. P is called once per iteration with the iterate in y's shape:
+    for one vector any callable R^n -> R^n works (exact projection,
+    perturbed projection, or a trained network); for a stack, P must map
+    each row (exact projections and network projectors do). ground_truth
+    and cfg.x0 are one vector, shared by every row, or one row per
+    measurement. Row r of a stack run equals the one-vector run on y[r]
     whenever A and P give a stack's rows the same bits as single vectors.
     Deterministic whenever P is. The returned final iterate is a fresh
-    array, not a view of the trace.
+    array in y's shape, not a view of the trace.
     """
     yv = as_rows(y)
     gamma = cfg.gamma if cfg.gamma is not None else default_step_size(A)
@@ -170,10 +160,9 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
         x = A.adjoint(yv)
     else:
         x = np.broadcast_to(as_rows(cfg.x0), shape).copy()
-    # Records are kept as (b, ...) rows, b = 1 for one vector, and each row
-    # has an iterate stack of its own: once freed, one block as large as a
-    # whole batch's iterates makes the C allocator raise its mmap and trim
-    # thresholds and keep that much freed heap memory resident.
+    # Each row has an iterate stack of its own: once freed, one block as
+    # large as a whole batch's iterates makes the C allocator raise its
+    # mmap and trim thresholds and keep that much freed heap resident.
     b = len(x) if x.ndim == 2 else 1
     truth = None if ground_truth is None else np.broadcast_to(
         as_rows(ground_truth), shape).reshape(b, A.n)
@@ -186,19 +175,16 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
             if truth is not None:
                 proj_err[:, i - 1] = row_norms(p.reshape(b, A.n) - truth)
             x = p - gamma * A.adjoint(A.apply(p) - yv)
-            finite = np.isfinite(x)
+            finite = np.isfinite(x).reshape(b, A.n)
             if not finite.all():
-                row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=-1)))
-                bad = x if row is None else x[row]
-                ok = finite if row is None else finite[row]
-                raise SolverDivergence(i, float(np.linalg.norm(bad[ok])), row)
+                row = int(np.argmin(finite.all(axis=1)))
+                bad = x.reshape(b, A.n)[row][finite[row]]
+                raise SolverDivergence(i, float(np.linalg.norm(bad)), row)
         for stack, xr in zip(stacks, x.reshape(b, A.n)):
             stack[i] = xr
         residual[:, i] = row_norms(A.apply(x) - yv)
 
-    lead = shape[:-1]
-    trace = GpgdTrace(gamma=gamma, residual=residual.reshape(lead + (-1,)),
-                      iterates=stacks if lead else stacks[0])
+    trace = GpgdTrace(gamma=gamma, residual=residual, iterates=stacks)
     if truth is not None:
         err = np.empty(residual.shape)
         db = np.empty(residual.shape)
@@ -207,47 +193,52 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
             db[r] = psnr(stack, truth[r])
         truth_norm = row_norms(truth)
         if np.all(truth_norm > 0):
-            trace.rel_err = (err / truth_norm[:, None]).reshape(lead + (-1,))
-        trace.err = err.reshape(lead + (-1,))
-        trace.psnr_db = db.reshape(lead + (-1,))
-        trace.proj_err = proj_err.reshape(lead + (-1,))
+            trace.rel_err = err / truth_norm[:, None]
+        trace.err = err
+        trace.psnr_db = db
+        trace.proj_err = proj_err
     return x, trace
 
 
-def convergence_iteration(trace: GpgdTrace, x_star, threshold: float) -> int | None:
-    """First iterate i with ||x_i - x_star|| / ||x_star|| <= threshold.
+def convergence_iteration(trace: GpgdTrace, x_star,
+                          threshold: float) -> list[int | None]:
+    """Per row r, the first iterate i with ||x_i - x_star[r]|| /
+    ||x_star[r]|| <= threshold, or None when no iterate qualifies.
 
-    Returns None when no iterate qualifies. The reference point is usually
-    the best iterate of the same run, unknown until the run finishes.
+    x_star is one reference per row, (b, n), or one vector shared by
+    every row: usually each row's best iterate, unknown until the run
+    finishes.
     """
-    _one_vector(trace)
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    ref = as_vector(x_star)
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm == 0.0:
+    refs = np.broadcast_to(as_rows(x_star),
+                           (len(trace.iterates), trace.iterates[0].shape[1]))
+    ref_norms = row_norms(refs)
+    if np.any(ref_norms == 0.0):
         raise ValueError("convergence_iteration: ||x_star|| = 0")
-    hits = np.flatnonzero(row_norms(trace.iterates - ref) / ref_norm <= threshold)
-    return int(hits[0]) if hits.size else None
+    hits = [np.flatnonzero(row_norms(stack - ref) / ref_norm <= threshold)
+            for stack, ref, ref_norm in zip(trace.iterates, refs, ref_norms)]
+    return [int(h[0]) if h.size else None for h in hits]
 
 
-def best_iterate(trace: GpgdTrace) -> tuple[int, np.ndarray]:
-    """Iterate with the best PSNR against ground truth (lowest index wins)."""
-    _one_vector(trace)
+def best_iterate(trace: GpgdTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's iterate with the best PSNR against ground truth (lowest
+    index wins): (b,) indices and the (b, n) stack of those iterates."""
     if trace.psnr_db is None:
         raise ValueError("best_iterate requires a run with ground truth")
     idx = trace.best_index
-    return idx, trace.iterates[idx]
+    return idx, np.stack([stack[i] for stack, i in zip(trace.iterates, idx)])
 
 
 def trace_to_csv(trace: GpgdTrace, path) -> None:
     """Columns iter, rel_err, psnr_db, residual (empty cells when absent)
-    of a one-vector trace."""
-    _one_vector(trace)
+    of a one-row trace; take row r of a larger one with trace.row(r)."""
+    if len(trace.iterates) != 1:
+        raise ValueError("trace_to_csv writes one row; take trace.row(r)")
     rows = len(trace)
 
     def column(values):  # repr of each entry as a Python float
-        return [""] * rows if values is None else map(repr, values.tolist())
+        return [""] * rows if values is None else map(repr, values[0].tolist())
 
     text = "".join(
         f"{i},{rel},{ps},{res}\n" for i, rel, ps, res in zip(

@@ -90,8 +90,9 @@ def test_criterion_01_theorem1_bound_domination(gaussian_instances):
         _, trace = gpgd_run(
             A, y, ExactProjector(KSparse(2, 32)), cfg, ground_truth=x_true
         )
-        bound = theorem1_bound(delta, BETA_SPARSE, gamma, trace.err[0], 0.0, 150)
-        if np.any(trace.err > bound.bounds + 1e-9):
+        err = trace.err[0]  # the one row of a one-vector run
+        bound = theorem1_bound(delta, BETA_SPARSE, gamma, err[0], 0.0, 150)
+        if np.any(err > bound.bounds + 1e-9):
             violations += 1
     print(
         f"\ncriterion 1: qualifying={qualifying} excluded={excluded} "
@@ -122,8 +123,9 @@ def test_criterion_02_noisy_stability(gaussian_instances):
         _, trace = gpgd_run(
             A, y, ExactProjector(KSparse(2, 32)), cfg, ground_truth=x_true
         )
-        cap = rate**150 * trace.err[0] + gamma / (1.0 - rate) * atn + 1e-9
-        if trace.err[-1] > cap:
+        err = trace.err[0]  # the one row of a one-vector run
+        cap = rate**150 * err[0] + gamma / (1.0 - rate) * atn + 1e-9
+        if err[-1] > cap:
             violations += 1
     print(
         f"\ncriterion 2: qualifying={qualifying} excluded={excluded} "
@@ -182,19 +184,19 @@ def test_criterion_05_gradient_correctness():
                 Z = rng.uniform(0, 1, (3, 6))
                 _, grads = loss_and_grad(net, X, Z, cfg, noise_seed=seed)
                 bp = grads.copy()  # the buffer is reused by the next call
-                theta = net.params_vector()
+                theta = net.params.copy()
                 fd = np.zeros_like(theta)
                 for i in range(theta.size):
                     up = theta.copy()
                     up[i] += h
-                    net.set_params_vector(up)
+                    net.params[:] = up
                     lp, _ = loss_and_grad(net, X, Z, cfg, noise_seed=seed)
                     dn = theta.copy()
                     dn[i] -= h
-                    net.set_params_vector(dn)
+                    net.params[:] = dn
                     lm, _ = loss_and_grad(net, X, Z, cfg, noise_seed=seed)
                     fd[i] = (lp - lm) / (2.0 * h)
-                net.set_params_vector(theta)
+                net.params[:] = theta
                 worst = max(worst, float(np.max(np.abs(bp - fd) / (1.0 + np.abs(fd)))))
     print(f"\ncriterion 5: {draws} draws, max relative gradient error {worst:.3e}")
     assert worst <= 1e-4

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ from gpgd.models import (
     random_lines,
     sample_member,
 )
-from gpgd.nets import NetProjector, load_checkpoint
+from gpgd.nets import NetProjector, TrainConfig, load_checkpoint
 from gpgd.operators import DenseOperator, make_inpainting_operator
 from gpgd.signals import NoiseSpec, add_noise, row_norms
 from gpgd.solver import (
@@ -167,9 +170,9 @@ def test_identity_operator_fixed_point_item():
     cfg = GpgdConfig(gamma=1.0, max_iters=10, x0=x_true)
     _, trace = gpgd_run(A, x_true, proj, cfg, ground_truth=x_true)
     idx, x_star = best_iterate(trace)
-    assert idx == 0
-    assert trace.psnr_db[0] == math.inf
-    assert convergence_iteration(trace, x_star, 0.01) == 0
+    assert idx.tolist() == [0]
+    assert trace.psnr_db[0, 0] == math.inf
+    assert convergence_iteration(trace, x_star, 0.01) == [0]
 
 
 # --- run_experiment -------------------------------------------------------------
@@ -195,28 +198,37 @@ def test_run_experiment_rows_and_files(tmp_path):
 
 
 def test_run_experiment_matches_manual_run(tmp_path):
-    # plumbing equivalence: one cell recomputed by hand from the same seeds,
-    # as a row of the same batch of test items that the sweep solves
+    # plumbing equivalence: every cell of the sweep recomputed by hand from
+    # the same seeds, each item as a row of the batch of test items that the
+    # sweep solves, and its best index and convergence iteration read off
+    # that row's iterate stack
     cfg = small_config(tmp_path)
     result = run_experiment(cfg)
     ds = load_config_dataset(cfg)
-    net = load_checkpoint(Path(cfg.out_dir) / "checkpoints" / "prior_lam0.4.ckpt")
-    seed, item = 0, 2
     from gpgd.experiments import _derive_seed
 
+    seed = 0
     A = make_inpainting_operator(ds.n, cfg.ratio, _derive_seed(seed, 1))
     x_true = ds.items[: cfg.test_count]
     y = np.stack([add_noise(A.apply(x), NoiseSpec(cfg.sigma, _derive_seed(seed, 2, i)))
                   for i, x in enumerate(x_true)])
     run_cfg = GpgdConfig(gamma=default_step_size(A), max_iters=cfg.gpgd_max_iters)
-    _, batch = gpgd_run(A, y, NetProjector(net), run_cfg, ground_truth=x_true)
-    trace = batch.row(item)
-    idx, x_star = best_iterate(trace)
-    conv = convergence_iteration(trace, x_star, cfg.conv_threshold)
-    row = next(r for r in result.rows if r.lam == 0.4 and r.seed == 0 and r.item == 2)
-    assert row.psnr_best == float(trace.psnr_db[idx])
-    assert row.best_index == idx
-    assert row.conv_iter == conv
+    checked = 0
+    for lam in cfg.lambdas:
+        net = load_checkpoint(Path(cfg.out_dir) / "checkpoints" / f"prior_lam{lam:g}.ckpt")
+        _, batch = gpgd_run(A, y, NetProjector(net), run_cfg, ground_truth=x_true)
+        for item, stack in enumerate(batch.iterates):
+            idx = int(np.argmax(batch.psnr_db[item]))
+            x_star = stack[idx]
+            dist = [np.linalg.norm(xi - x_star) / np.linalg.norm(x_star) for xi in stack]
+            conv = next((i for i, d in enumerate(dist) if d <= cfg.conv_threshold), None)
+            row = next(r for r in result.rows
+                       if r.lam == lam and r.seed == seed and r.item == item)
+            assert row.psnr_best == float(batch.psnr_db[item, idx])
+            assert row.best_index == idx
+            assert row.conv_iter == conv
+            checked += 1
+    assert checked == len(result.rows) == len(cfg.lambdas) * cfg.test_count
 
 
 def test_run_experiment_bitwise_reproducible(tmp_path):
@@ -270,6 +282,33 @@ def test_stale_prior_is_refused_before_any_training(tmp_path):
         next(train_priors(second, load_config_dataset(second)))
     assert not (ckpt_dir / "prior_lam0.2.ckpt").exists()
     assert not (ckpt_dir / "history_lam0.2.csv").exists()
+
+
+def test_train_key_reads_the_items_buffer_without_a_copy():
+    # 320 x 784 items are 1.9 MiB; hashing them in place traces almost none
+    items = np.random.default_rng(50).uniform(0, 1, (320, 784))
+    tcfg = TrainConfig()
+    experiments._train_key(items, (784, 64, 784), tcfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        experiments._train_key(items, (784, 64, 784), tcfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_train_key_hashes_a_strided_big_endian_input_like_its_bytes():
+    items = np.random.default_rng(51).uniform(0, 1, (6, 10))
+    strided = items.astype(">f8")[:, ::2]
+    assert not strided.flags.c_contiguous
+    tcfg = TrainConfig(lam=0.4, epochs=3)
+    h = hashlib.sha256(np.ascontiguousarray(strided, dtype="<f8").tobytes())
+    h.update(("dims=[5, 3, 5]\n" + "".join(
+        f"{f.name}={getattr(tcfg, f.name)!r}\n" for f in fields(tcfg))).encode())
+    assert experiments._train_key(strided, (5, 3, 5), tcfg) == h.hexdigest()
+    assert experiments._train_key(items[:, ::2].copy(), (5, 3, 5), tcfg) == h.hexdigest()
 
 
 def test_lambdas_sharing_a_checkpoint_name_are_refused(tmp_path):

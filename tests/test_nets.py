@@ -157,7 +157,7 @@ def test_layer_views_alias_params_vector():
     net.params[-1] = 7.0
     assert last.bias[-1] == 7.0
     vec = np.arange(net.n_params(), dtype=float)
-    net.set_params_vector(vec)
+    net.params[:] = vec
     assert np.array_equal(first.weight, vec[:15].reshape(3, 5))
     assert np.array_equal(last.bias, vec[-5:])
 
@@ -177,15 +177,6 @@ def test_copy_gets_its_own_buffer():
     twin.params += 1.0
     twin.layers[0].weight[0, 0] = 9.0
     assert not np.any(net.params == twin.params)
-
-
-def test_params_vector_is_a_checked_copy():
-    net = make_net((4, 3, 4), seed=33)
-    vec = net.params_vector()
-    vec[0] += 1.0
-    assert net.params[0] != vec[0]
-    with pytest.raises(ValueError):
-        net.set_params_vector(np.zeros(net.n_params() + 1))
 
 
 def test_layer_views_of_a_gradient():
@@ -237,20 +228,20 @@ def test_gradient_matches_finite_differences(mode, lam):
     Z = rng.uniform(0, 1, (3, 6))
     _, grads = loss_and_grad(net, X, Z, cfg, noise_seed=11)
     bp = grads.copy()  # the gradient buffer is reused by the next call
-    theta = net.params_vector()
+    theta = net.params.copy()
     h = 1e-5
     fd = np.zeros_like(theta)
     for i in range(theta.size):
         up = theta.copy()
         up[i] += h
-        net.set_params_vector(up)
+        net.params[:] = up
         lp, _ = loss_and_grad(net, X, Z, cfg, noise_seed=11)
         dn = theta.copy()
         dn[i] -= h
-        net.set_params_vector(dn)
+        net.params[:] = dn
         lm, _ = loss_and_grad(net, X, Z, cfg, noise_seed=11)
         fd[i] = (lp - lm) / (2.0 * h)
-    net.set_params_vector(theta)
+    net.params[:] = theta
     assert np.max(np.abs(bp - fd) / (1.0 + np.abs(fd))) <= 1e-4
 
 
@@ -442,22 +433,22 @@ def test_psi_kernel_propagates_non_finite_rows():
 
 def test_adam_zero_gradient_no_move():
     net = make_net((4, 3, 4), seed=10)
-    before = net.params_vector()
+    before = net.params.copy()
     state = adam_state_for(net)
     zero = np.zeros(net.n_params())
     adam_step(net, zero, state, tau=0.1)
-    assert np.array_equal(net.params_vector(), before)
+    assert np.array_equal(net.params, before)
     assert state.step == 1
 
 
 def test_adam_first_step_closed_form():
     net = identity_net(2)
-    before = net.params_vector()
+    before = net.params.copy()
     g = np.array([[1.0, -2.0], [3.0, 0.25]]), np.array([0.5, -2.0])
     g_flat = np.concatenate([g[0].ravel(), g[1]])
     state = adam_state_for(net)
     adam_step(net, g_flat, state, tau=0.01)
-    delta = net.params_vector() - before
+    delta = net.params - before
     expected = -0.01 * g_flat / (np.abs(g_flat) + 1e-8)
     assert np.allclose(delta, expected, atol=1e-15)
 
@@ -467,11 +458,11 @@ def test_adam_constant_gradient_step_magnitude_approaches_tau():
     state = adam_state_for(net)
     g = np.array([3.0, 0.0])  # weight, bias
     tau = 0.05
-    prev = net.params_vector()[0]
+    prev = net.params[0]
     for _ in range(200):
-        prev = net.params_vector()[0]
+        prev = net.params[0]
         adam_step(net, g, state, tau)
-    step = abs(net.params_vector()[0] - prev)
+    step = abs(net.params[0] - prev)
     assert step == pytest.approx(tau, rel=1e-6)
 
 
@@ -502,7 +493,7 @@ def test_adam_blocks_match_whole_vector_update_bit_for_bit():
     assert size > 2 * _ADAM_BLOCK and size % _ADAM_BLOCK  # a partial last block
     state = adam_state_for(net)
     assert state.scratch.size <= _ADAM_BLOCK
-    params, m, v = net.params_vector(), np.zeros(size), np.zeros(size)
+    params, m, v = net.params.copy(), np.zeros(size), np.zeros(size)
     rng = np.random.default_rng(48)
     adam = (0.8, 0.99, 1e-6)
     for step in range(1, 5):
@@ -525,10 +516,10 @@ def test_adam_rejects_gradient_of_wrong_shape():
 
 def test_train_zero_epochs_unchanged():
     net = make_net((4, 3, 4), seed=11)
-    before = net.params_vector()
+    before = net.params.copy()
     data = np.random.default_rng(8).uniform(0, 1, (6, 4))
     net, history = train(net, data, TrainConfig(epochs=0, batch_size=2))
-    assert np.array_equal(net.params_vector(), before)
+    assert np.array_equal(net.params, before)
     assert history == []
 
 
@@ -537,7 +528,7 @@ def test_train_deterministic_per_seed():
     cfg = TrainConfig(lam=0.2, epochs=3, batch_size=4, seed=123)
     n1, _ = train(make_net((4, 3, 4), seed=12), data, cfg)
     n2, _ = train(make_net((4, 3, 4), seed=12), data, cfg)
-    assert np.array_equal(n1.params_vector(), n2.params_vector())
+    assert np.array_equal(n1.params, n2.params)
 
 
 def test_train_replay_oracle():
@@ -559,7 +550,7 @@ def test_train_replay_oracle():
             zb = z_rng.uniform(size=(2, 3))
             _, grads = loss_and_grad(replica, data[idx], zb, cfg, 0)
             adam_step(replica, grads, state, cfg.tau, *cfg.adam)
-    assert np.array_equal(trained.params_vector(), replica.params_vector())
+    assert np.array_equal(trained.params, replica.params)
 
 
 @pytest.mark.parametrize("mode", ["AE", "PnP"])
@@ -585,7 +576,7 @@ def test_train_lambda_zero_matches_replay_that_draws_z(mode):
             noise_seed = int(noise_rng.integers(2**63)) if mode == "PnP" else 0
             _, grads = loss_and_grad(replica, data[idx], zb, cfg, noise_seed)
             adam_step(replica, grads, state, cfg.tau, *cfg.adam)
-    assert np.array_equal(trained.params_vector(), replica.params_vector())
+    assert np.array_equal(trained.params, replica.params)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.4])
@@ -725,11 +716,11 @@ def test_train_lambda_reduces_probe_psi():
 
 def test_train_rejects_nan_data_before_any_step():
     net = make_net((3, 3), seed=41)
-    before = net.params_vector()
+    before = net.params.copy()
     data = np.array([[0.5, np.nan, 0.0], [0.1, 0.2, 0.3]])
     with pytest.raises(ValueError, match="finite"):
         train(net, data, TrainConfig(epochs=1))
-    assert np.array_equal(net.params_vector(), before)
+    assert np.array_equal(net.params, before)
 
 
 @pytest.mark.parametrize(
@@ -842,7 +833,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     back = load_checkpoint(path)
     assert back.dims == net.dims
     assert back.latent_index == net.latent_index
-    assert np.array_equal(back.params_vector(), net.params_vector())
+    assert np.array_equal(back.params, net.params)
     for a, b in zip(back.layers, net.layers):
         assert a.activation == b.activation
 

@@ -67,6 +67,14 @@ def test_version_matches_pyproject():
         assert gpgd.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+def test_readme_quick_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Quick example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "gpgd_run" in code
+    exec(compile(code, "README.md quick example", "exec"), {})
+
+
 def _private_definitions(tree: ast.Module):
     """(name, node) of every private top-level function, class or constant
     of a module; dunder names are not private."""

@@ -73,9 +73,10 @@ def test_sparse_recovery_with_conditioned_instance():
     y = A.apply(x_true)
     cfg = GpgdConfig(gamma=gamma, max_iters=150)
     _, trace = gpgd_run(A, y, ExactProjector(KSparse(2, 32)), cfg, ground_truth=x_true)
-    assert trace.err[-1] <= 1e-9
-    bound = theorem1_bound(delta, GOLDEN, gamma, trace.err[0], 0.0, 150)
-    assert np.all(trace.err <= bound.bounds + 1e-9)
+    err = trace.err[0]
+    assert err[-1] <= 1e-9
+    bound = theorem1_bound(delta, GOLDEN, gamma, err[0], 0.0, 150)
+    assert np.all(err <= bound.bounds + 1e-9)
 
 
 def test_theorem_chain_per_iteration_with_noise():
@@ -91,9 +92,10 @@ def test_theorem_chain_per_iteration_with_noise():
     atn = gamma * np.linalg.norm(A.adjoint(e))
     cfg = GpgdConfig(gamma=gamma, max_iters=80)
     _, trace = gpgd_run(A, y, ExactProjector(KSparse(2, 32)), cfg, ground_truth=x_true)
-    for i in range(len(trace.proj_err)):
-        assert trace.err[i + 1] <= delta * trace.proj_err[i] + atn + 1e-9
-        assert trace.proj_err[i] <= GOLDEN * trace.err[i] + 1e-9
+    err, proj_err = trace.err[0], trace.proj_err[0]
+    for i in range(len(proj_err)):
+        assert err[i + 1] <= delta * proj_err[i] + atn + 1e-9
+        assert proj_err[i] <= GOLDEN * err[i] + 1e-9
 
 
 def test_noiseless_exactness_rate():
@@ -107,7 +109,8 @@ def test_noiseless_exactness_rate():
     y = A.apply(x_true)
     cfg = GpgdConfig(gamma=gamma, max_iters=150)
     _, trace = gpgd_run(A, y, ExactProjector(KSparse(2, 32)), cfg, ground_truth=x_true)
-    assert trace.err[-1] <= rate**150 * trace.err[0] * (1.0 + 1e-6) + 1e-300
+    err = trace.err[0]
+    assert err[-1] <= rate**150 * err[0] * (1.0 + 1e-6) + 1e-300
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -119,7 +122,7 @@ def test_divergence_aborts_with_diagnostics():
     cfg = GpgdConfig(gamma=0.5, max_iters=10, x0=np.ones(3))
     with pytest.raises(SolverDivergence) as exc:
         gpgd_run(A, np.zeros(3), blow_up, cfg)
-    assert exc.value.iteration >= 1
+    assert exc.value.iteration >= 1 and exc.value.row == 0
 
 
 def test_default_x0_is_adjoint_of_y():
@@ -128,7 +131,7 @@ def test_default_x0_is_adjoint_of_y():
     y = rng.standard_normal(4)
     cfg = GpgdConfig(gamma=0.01, max_iters=1)
     _, trace = gpgd_run(A, y, lambda z: z, cfg)
-    assert np.array_equal(trace.iterates[0], A.adjoint(y))
+    assert np.array_equal(trace.iterates[0][0], A.adjoint(y))
 
 
 def test_trace_records_match_per_iterate_recomputation():
@@ -141,45 +144,45 @@ def test_trace_records_match_per_iterate_recomputation():
     proj = ExactProjector(KSparse(2, 32))
     cfg = GpgdConfig(gamma=default_step_size(A), max_iters=30, x0=x_true)
     x, trace = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
-    its = trace.iterates
+    (its,) = trace.iterates
     assert its.shape == (31, 32) and len(trace) == 31
     assert np.array_equal(x, its[-1]) and not np.shares_memory(x, its)
     err = np.array([np.linalg.norm(xi - x_true) for xi in its])
     db = [psnr(xi, x_true) for xi in its]
     assert db[0] == math.inf and all(math.isfinite(v) for v in db[1:])
-    assert np.array_equal(trace.err, err)
-    assert np.array_equal(trace.rel_err, err / np.linalg.norm(x_true))
-    assert trace.psnr_db.tolist() == db
+    assert np.array_equal(trace.err, [err])
+    assert np.array_equal(trace.rel_err, [err / np.linalg.norm(x_true)])
+    assert trace.psnr_db.tolist() == [db]
     assert np.array_equal(
-        trace.residual, [np.linalg.norm(A.apply(xi) - y) for xi in its]
+        trace.residual, [[np.linalg.norm(A.apply(xi) - y) for xi in its]]
     )
     assert np.array_equal(
-        trace.proj_err, [np.linalg.norm(proj(xi) - x_true) for xi in its[:-1]]
+        trace.proj_err, [[np.linalg.norm(proj(xi) - x_true) for xi in its[:-1]]]
     )
-    assert trace.best_index == int(np.argmax(db))
-    x_star = its[trace.best_index + 5]
+    assert trace.best_index.tolist() == [int(np.argmax(db))]
+    x_star = its[trace.best_index[0] + 5]
     ref_norm = np.linalg.norm(x_star)
     for threshold in (0.5, 0.05, 1e-3):
         expected = next((i for i, xi in enumerate(its)
                          if np.linalg.norm(xi - x_star) / ref_norm <= threshold), None)
-        assert convergence_iteration(trace, x_star, threshold) == expected
+        assert convergence_iteration(trace, x_star, threshold) == [expected]
 
 
 def _trace_with_rel_errors(x_star, rels):
     # iterates at prescribed relative distances from x_star
     direction = np.ones_like(x_star) / np.sqrt(x_star.size)
     its = np.array([x_star + r * np.linalg.norm(x_star) * direction for r in rels])
-    return GpgdTrace(gamma=1.0, residual=np.zeros(len(its)), iterates=its)
+    return GpgdTrace(gamma=1.0, residual=np.zeros((1, len(its))), iterates=[its])
 
 
 def test_convergence_iteration_examples():
     x_star = np.array([3.0, 4.0])
     t = _trace_with_rel_errors(x_star, [0.0, 0.5])
-    assert convergence_iteration(t, x_star, 0.01) == 0
+    assert convergence_iteration(t, x_star, 0.01) == [0]
     t = _trace_with_rel_errors(x_star, [1.0, 0.5, 0.009, 0.5])
-    assert convergence_iteration(t, x_star, 0.01) == 2
+    assert convergence_iteration(t, x_star, 0.01) == [2]
     t = _trace_with_rel_errors(x_star, [1.0, 0.5, 0.02])
-    assert convergence_iteration(t, x_star, 0.01) is None
+    assert convergence_iteration(t, x_star, 0.01) == [None]
 
 
 def test_convergence_iteration_rejects_zero_reference():
@@ -190,20 +193,39 @@ def test_convergence_iteration_rejects_zero_reference():
 
 def test_best_iterate_examples():
     its = np.array([np.zeros(2), np.ones(2), np.full(2, 2.0)])
-    t = GpgdTrace(gamma=1.0, residual=np.zeros(3), iterates=its,
-                  psnr_db=np.array([10.0, 30.0, 20.0]))
+    t = GpgdTrace(gamma=1.0, residual=np.zeros((1, 3)), iterates=[its],
+                  psnr_db=np.array([[10.0, 30.0, 20.0]]))
     idx, x = best_iterate(t)
-    assert idx == 1 and np.array_equal(x, its[1])
-    t_tie = GpgdTrace(gamma=1.0, residual=np.zeros(3), iterates=its,
-                      psnr_db=np.array([15.0, 15.0, 15.0]))
-    assert best_iterate(t_tie)[0] == 0
-    t_single = GpgdTrace(gamma=1.0, residual=np.zeros(1), iterates=np.zeros((1, 2)),
-                         psnr_db=np.array([12.0]))
-    assert best_iterate(t_single)[0] == 0
+    assert idx.tolist() == [1] and np.array_equal(x, its[1:2])
+    t_tie = GpgdTrace(gamma=1.0, residual=np.zeros((1, 3)), iterates=[its],
+                      psnr_db=np.array([[15.0, 15.0, 15.0]]))
+    assert best_iterate(t_tie)[0].tolist() == [0]
+    t_single = GpgdTrace(gamma=1.0, residual=np.zeros((1, 1)),
+                         iterates=[np.zeros((1, 2))], psnr_db=np.array([[12.0]]))
+    assert best_iterate(t_single)[0].tolist() == [0]
+
+
+def test_batch_helpers_give_each_row_its_own_hit():
+    x_star = np.array([[3.0, 4.0], [1.0, -2.0]])
+    its = [_trace_with_rel_errors(x_star[0], [1.0, 0.009, 0.5]).iterates[0],
+           _trace_with_rel_errors(x_star[1], [0.5, 0.02, 1.0]).iterates[0]]
+    t = GpgdTrace(gamma=1.0, residual=np.zeros((2, 3)), iterates=its,
+                  psnr_db=np.array([[10.0, 30.0, 20.0], [40.0, 10.0, 10.0]]))
+    idx, best = best_iterate(t)
+    assert idx.tolist() == [1, 0]
+    assert np.array_equal(best, [its[0][1], its[1][0]])
+    assert convergence_iteration(t, x_star, 0.01) == [1, None]
+    assert convergence_iteration(t, x_star, 0.1) == [1, 1]
+    assert convergence_iteration(t, x_star[0], 0.01)[0] == 1  # one shared reference
+    with pytest.raises(ValueError):
+        convergence_iteration(t, np.ones(3), 0.01)
+    for r, hit in enumerate([1, None]):
+        assert convergence_iteration(t.row(r), x_star[r], 0.01) == [hit]
+        assert best_iterate(t.row(r))[0].tolist() == [idx[r]]
 
 
 def test_best_iterate_empty_trace():
-    t = GpgdTrace(gamma=1.0, residual=np.zeros(0), iterates=np.zeros((0, 2)))
+    t = GpgdTrace(gamma=1.0, residual=np.zeros((1, 0)), iterates=[np.zeros((0, 2))])
     with pytest.raises(ValueError):
         best_iterate(t)
 
@@ -314,13 +336,14 @@ def test_trace_csv(tmp_path):
 
 
 def _trace_csv_per_line(trace, path):
-    # the one-line-per-write reference writer that trace_to_csv replaced
+    # the one-line-per-write reference writer that trace_to_csv replaced,
+    # on row 0 of a one-row trace
     with open(path, "w", encoding="ascii") as fh:
         fh.write("iter,rel_err,psnr_db,residual\n")
         for i in range(len(trace)):
-            rel = "" if trace.rel_err is None else repr(float(trace.rel_err[i]))
-            ps = "" if trace.psnr_db is None else repr(float(trace.psnr_db[i]))
-            fh.write(f"{i},{rel},{ps},{repr(float(trace.residual[i]))}\n")
+            rel = "" if trace.rel_err is None else repr(float(trace.rel_err[0, i]))
+            ps = "" if trace.psnr_db is None else repr(float(trace.psnr_db[0, i]))
+            fh.write(f"{i},{rel},{ps},{repr(float(trace.residual[0, i]))}\n")
 
 
 @pytest.mark.parametrize("absent", [(), ("rel_err",), ("psnr_db",),
@@ -333,13 +356,13 @@ def test_trace_csv_matches_per_line_writer_byte_for_byte(tmp_path, absent):
 
     def column():
         scales = 10.0 ** rng.integers(-300, 300, 151)
-        return np.concatenate([extremes, rng.standard_normal(151) * scales])
+        return np.concatenate([extremes, rng.standard_normal(151) * scales])[None]
 
     psnr_db = column()
-    psnr_db[[0, 9]] = np.inf  # an exact reconstruction
+    psnr_db[0, [0, 9]] = np.inf  # an exact reconstruction
     records = {"rel_err": np.abs(column()), "psnr_db": psnr_db}
     trace = GpgdTrace(gamma=0.5, residual=np.abs(column()),
-                      iterates=np.zeros((rows, 2)),
+                      iterates=[np.zeros((rows, 2))],
                       **{k: None if k in absent else v for k, v in records.items()})
     trace_to_csv(trace, tmp_path / "new.csv")
     _trace_csv_per_line(trace, tmp_path / "ref.csv")
@@ -393,6 +416,35 @@ def test_stack_run_equals_one_row_runs(A):
                 convergence_iteration(one, x_star, threshold)
 
 
+def test_one_vector_is_a_batch_of_one():
+    # a 1-D y and the same y as a stack of 1 give bit-identical traces;
+    # P sees the iterate in y's shape
+    A, rng = conditioned_square(seed=12)
+    x_true = np.zeros(32)
+    x_true[[6, 21]] = rng.standard_normal(2)
+    y = A.apply(x_true) + 0.05 * rng.standard_normal(32)
+    proj = ExactProjector(KSparse(2, 32))
+    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=20)
+    runs = []
+    for y_in, truth in ((y, x_true), (y[None], x_true[None])):
+        shapes = set()
+
+        def P(z):
+            shapes.add(z.shape)
+            return proj(z)
+
+        x, trace = gpgd_run(A, y_in, P, cfg, ground_truth=truth)
+        assert x.shape == y_in.shape[:-1] + (32,) and shapes == {x.shape}
+        runs.append((x, trace))
+    (x, one), (X, stack) = runs
+    assert np.array_equal(x, X[0]) and len(one.iterates) == 1
+    for name in ("residual", "err", "rel_err", "psnr_db", "proj_err"):
+        assert getattr(one, name).shape[0] == 1, name
+        assert np.array_equal(getattr(one, name), getattr(stack, name)), name
+    assert np.array_equal(one.iterates[0], stack.iterates[0])
+    assert one.best_index.shape == (1,) and one.best_index == stack.best_index
+
+
 def test_stack_run_shares_one_vector_ground_truth_and_x0():
     A = make_inpainting_operator(16, 0.5, seed=6)
     x_true = np.zeros(16)
@@ -407,16 +459,13 @@ def test_stack_run_shares_one_vector_ground_truth_and_x0():
         assert np.array_equal(trace.row(r).psnr_db, one.psnr_db)
 
 
-def test_one_row_helpers_refuse_a_stack_trace(tmp_path):
+def test_trace_csv_refuses_a_multi_row_trace(tmp_path):
     A = PixelMask(range(4), n=4)
     _, trace = gpgd_run(A, np.ones((2, 4)), ExactProjector(KSparse(1, 4)),
                         GpgdConfig(gamma=0.5, max_iters=3), ground_truth=np.ones(4))
     with pytest.raises(ValueError, match="row"):
-        best_iterate(trace)
-    with pytest.raises(ValueError, match="row"):
-        convergence_iteration(trace, np.ones(4), 0.01)
-    with pytest.raises(ValueError, match="row"):
         trace_to_csv(trace, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
     trace_to_csv(trace.row(1), tmp_path / "t.csv")
     assert len((tmp_path / "t.csv").read_text().splitlines()) == len(trace) + 1
 
@@ -441,7 +490,7 @@ def test_divergence_names_the_first_bad_row():
     cfg = GpgdConfig(gamma=0.5, max_iters=10, x0=np.ones(4))
     with pytest.raises(SolverDivergence) as one:
         gpgd_run(A, np.zeros(4), blow_up, cfg)
-    assert one.value.row is None
+    assert one.value.row == 0 and "row 0" in str(one.value)
     with pytest.raises(SolverDivergence) as batch:
         gpgd_run(A, np.zeros((3, 4)), blow_up_row_1, cfg)
     assert batch.value.row == 1
