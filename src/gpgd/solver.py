@@ -97,10 +97,10 @@ class GpgdTrace:
     def row(self, r: int) -> "GpgdTrace":
         """Row r as a trace of a batch of 1; it shares the run's arrays."""
         def pick(a):
-            return None if a is None else a[r:r + 1]
+            return None if a is None else a[r][None]
 
         return GpgdTrace(gamma=self.gamma, residual=pick(self.residual),
-                         iterates=self.iterates[r:r + 1], err=pick(self.err),
+                         iterates=[self.iterates[r]], err=pick(self.err),
                          rel_err=pick(self.rel_err), psnr_db=pick(self.psnr_db),
                          proj_err=pick(self.proj_err))
 

@@ -57,7 +57,9 @@ def test_gamma_zero_is_pure_projection():
     _, trace = gpgd_run(A, y, proj, cfg)
     # x_i = P(x_{i-1}); exact idempotent P makes it constant from i = 1
     expected = proj(y)
-    for xi in trace.iterates[1:]:
+    (its,) = trace.iterates
+    assert len(its) == cfg.max_iters + 1
+    for xi in its[1:]:
         assert np.array_equal(xi, expected)
 
 
@@ -468,6 +470,10 @@ def test_trace_csv_refuses_a_multi_row_trace(tmp_path):
     assert not (tmp_path / "t.csv").exists()
     trace_to_csv(trace.row(1), tmp_path / "t.csv")
     assert len((tmp_path / "t.csv").read_text().splitlines()) == len(trace) + 1
+    # an out-of-range row raises here rather than giving an empty trace
+    with pytest.raises(IndexError):
+        trace.row(2)
+    assert np.array_equal(trace.row(-1).residual, trace.row(1).residual)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
