@@ -33,4 +33,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 _IDX_IMAGE_MAGIC = 0x00000803
+_MAX_BARS = 3  # a bars item has 1 to _MAX_BARS bars
+_MAX_BLOBS = 2  # a gaussians item has 1 to _MAX_BLOBS blobs
 
 
 class DatasetError(ValueError):
@@ -106,11 +108,11 @@ def _square_side(n: int) -> int:
     return side
 
 
-def _bars(n, count, rng, max_bars: int = 3):
+def _bars(n, count, rng):
     side = _square_side(n)
     items = np.zeros((count, side, side))
     for i in range(count):
-        nbars = int(rng.integers(1, max_bars + 1))
+        nbars = int(rng.integers(1, _MAX_BARS + 1))
         for _ in range(nbars):
             idx = int(rng.integers(side))
             if rng.random() < 0.5:
@@ -120,12 +122,12 @@ def _bars(n, count, rng, max_bars: int = 3):
     return items.reshape(count, n), (side, side)
 
 
-def _gaussians(n, count, rng, max_blobs: int = 2):
+def _gaussians(n, count, rng):
     side = _square_side(n)
     grid = np.arange(side, dtype=np.float64)
     items = np.zeros((count, side, side))
     for i in range(count):
-        nblobs = int(rng.integers(1, max_blobs + 1))
+        nblobs = int(rng.integers(1, _MAX_BLOBS + 1))
         for _ in range(nblobs):
             ci, cj = rng.uniform(0, side, size=2)
             width = rng.uniform(0.8, side / 3.0)

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -400,13 +401,14 @@ class ExperimentResult:
     cfg_hash: str
 
 
-def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Full sweep: for each seed, build the operator and form noisy
     measurements of every test item; for each lambda, solve all items as
     one batch with that lambda's prior, and record each item's
     best-iterate PSNR and convergence iteration. Rows come out ordered by
     seed, then item, then lambda; timing.json holds one wall time per
-    batch solve, keyed lam{lam:g}_seed{seed}.
+    batch solve, keyed lam{lam:g}_seed{seed}, and traces/ one trace CSV per
+    cell.
 
     For problem "sparse" the prior is the exact hard-thresholding
     projection for every lambda (learned priors do not apply there).
@@ -429,9 +431,8 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
 
     rows: list[RunRow] = []
     timings = {}
-    traces_dir = out / "traces" if write_traces else None
-    if write_traces:
-        traces_dir.mkdir(exist_ok=True)
+    traces_dir = out / "traces"
+    traces_dir.mkdir(exist_ok=True)
     for seed, A in operators:
         gamma = cfg.gpgd_gamma if cfg.gpgd_gamma is not None else default_step_size(A)
         y_clean = A.apply(test_items)
@@ -465,19 +466,18 @@ def run_experiment(cfg: ExperimentConfig, write_traces: bool = True) -> Experime
 
 
 def _solve_batch(A, Y, P, run_cfg: GpgdConfig, truth, conv_threshold: float,
-                 traces_dir: Path | None, name: str) -> tuple[float, list[tuple]]:
+                 traces_dir: Path, name: str) -> tuple[float, list[tuple]]:
     """Solve the rows of Y as one batch: the solve's wall time, and (best
     index, best PSNR, convergence iteration) per row; one trace CSV per row
-    when traces_dir is set. The iterate stack dies on return, so the
-    caller's next batch never holds two."""
+    in traces_dir. The iterate stack dies on return, so the caller's next
+    batch never holds two."""
     started = time.perf_counter()
     _, trace = gpgd_run(A, Y, P, run_cfg, ground_truth=truth)
     seconds = time.perf_counter() - started
     idx, x_star = best_iterate(trace)
     convs = convergence_iteration(trace, x_star, conv_threshold)
-    if traces_dir is not None:
-        for item in range(len(Y)):
-            trace_to_csv(trace.row(item), traces_dir / f"trace_{name}_item{item}.csv")
+    for item in range(len(Y)):
+        trace_to_csv(trace.row(item), traces_dir / f"trace_{name}_item{item}.csv")
     return seconds, list(zip(idx.tolist(), trace.psnr_db.max(axis=1).tolist(), convs))
 
 
@@ -533,14 +533,14 @@ class VerifyConfig:
     nseeds: int = 20
     nsamples: int = 10_000
     seed: int = 0
-    n: int = 32
-    m: int = 16
-    k: int = 2
-    sigma: float = 0.02
-    iters: int = 150
-    lines: int = 5
-    lines_dim: int = 8
-    t_grid: tuple[float, ...] = (0.05, 0.1, 0.2)
+    n: ClassVar[int] = 32
+    m: ClassVar[int] = 16
+    k: ClassVar[int] = 2
+    sigma: ClassVar[float] = 0.02
+    iters: ClassVar[int] = 150
+    lines: ClassVar[int] = 5
+    lines_dim: ClassVar[int] = 8
+    t_grid: ClassVar[tuple[float, ...]] = (0.05, 0.1, 0.2)
 
     def __post_init__(self):
         # zero instances or samples would pass every entry vacuously
@@ -653,14 +653,14 @@ def _domination_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationE
 
 
 def _stability_entry(name: str, vcfg: VerifyConfig, instances) -> VerificationEntry:
-    """Final noisy error against the geometric-plus-noise-limit bound."""
+    """Final noisy error against Theorem 1's noisy bound."""
     violations = []
     for seed, A, gamma, delta, x_true, rng in instances:
-        rate = delta * _GOLDEN_BETA
         e = vcfg.sigma * rng.standard_normal(A.m)
         atn = float(np.linalg.norm(A.adjoint(e)))
         err = _recover(vcfg, A, gamma, A.apply(x_true) + e, x_true)
-        cap = rate**vcfg.iters * err[0] + gamma / (1.0 - rate) * atn + 1e-9
+        cap = theory.theorem1_bound(delta, _GOLDEN_BETA, gamma, float(err[0]), atn,
+                                    vcfg.iters).bounds[-1] + 1e-9
         if err[-1] > cap:
             violations.append(f"seed {seed}: {err[-1]} > {cap}")
     return _theorem1_entry(name, vcfg, instances, violations)
@@ -675,11 +675,10 @@ def _triangle_entry(vcfg: VerifyConfig) -> VerificationEntry:
     lines = _lines(vcfg)
     proj = PerturbedProjector(lines, t=0.1)
     rng = np.random.default_rng(_derive_seed(vcfg.seed, 14))
-    sampler = theory.radial_sampler()
     worst = -math.inf
     for start in range(0, vcfg.nsamples, theory.SAMPLE_BLOCK):
         count = min(theory.SAMPLE_BLOCK, vcfg.nsamples - start)
-        z_b = sampler(rng, count, vcfg.lines_dim)
+        z_b = theory.radial_sampler(rng, count, vcfg.lines_dim)
         x_b = sample_member(lines, rng, count)
         p = proj(z_b)
         pperp = project(lines, z_b)
@@ -756,11 +755,10 @@ def _exact_projector_entry(vcfg: VerifyConfig) -> VerificationEntry:
     )
 
 
-def verify_theorems(vcfg: VerifyConfig | None = None,
+def verify_theorems(vcfg: VerifyConfig,
                     out_dir: str | None = None) -> VerificationReport:
     """Run the theorem-verification suites; failures are report entries,
     never exceptions."""
-    vcfg = vcfg or VerifyConfig()
     conditioned = _theorem1_instances(vcfg, _conditioned_instance)
     entries = [
         _domination_entry(
@@ -781,7 +779,7 @@ def verify_theorems(vcfg: VerifyConfig | None = None,
     return report
 
 
-def estimate_constants(vcfg: VerifyConfig | None = None) -> list[tuple[str, str, str]]:
+def estimate_constants(vcfg: VerifyConfig) -> list[tuple[str, str, str]]:
     """The constants behind the theorems, measured on verify's instances:
     the 9 (quantity, instance, value) records of estimates.csv, in order.
 
@@ -794,7 +792,6 @@ def estimate_constants(vcfg: VerifyConfig | None = None) -> list[tuple[str, str,
     a tag of its own. Values are written with repr, so they parse back bit
     for bit.
     """
-    vcfg = vcfg or VerifyConfig()
     A, _ = _gaussian_instance(vcfg, 0)
     gamma = default_step_size(A)
     ric = f"{vcfg.m}x{vcfg.n} gaussian k={vcfg.k}"

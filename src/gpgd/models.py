@@ -73,14 +73,10 @@ def hard_threshold(z, k: int) -> np.ndarray:
     vec = as_rows(z)
     if not 1 <= k <= vec.shape[-1]:
         raise ModelSetError(f"need 1 <= k <= {vec.shape[-1]}, got k={k}")
-    order = np.argsort(-np.abs(vec), kind="stable")
-    if vec.ndim == 2:
-        keep = (np.arange(len(vec))[:, None], order[:, :k])
-    else:
-        keep = order[:k]
-    out = np.zeros_like(vec)
-    out[keep] = vec[keep]
-    return out
+    top = np.argsort(-np.abs(vec), axis=-1, kind="stable")[..., :k]
+    keep = np.zeros(vec.shape, dtype=bool)
+    np.put_along_axis(keep, top, True, axis=-1)
+    return np.where(keep, vec, 0.0)
 
 
 def project_union(z, model) -> np.ndarray:

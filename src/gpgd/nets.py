@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 PROBE_POINTS = 512
+_HIDDEN_SLOPE = 0.01  # leaky-ReLU slope of make_net's hidden layers
 
 
 class NonFiniteLoss(RuntimeError):
@@ -216,11 +217,10 @@ def autoencoder_dims(n: int) -> tuple[int, ...]:
     return (n, max(n // 2, 2), max(n // 4, 1), max(n // 2, 2), n)
 
 
-def make_net(dims, seed: int, slope: float = 0.01,
-             latent_index: int | None = None) -> DenseNet:
+def make_net(dims, seed: int) -> DenseNet:
     """He-initialized dense net; leaky-ReLU hidden layers, identity output.
 
-    latent_index defaults to the layer producing the narrowest width.
+    latent_index is the layer producing the narrowest width.
     """
     dims = list(dims)
     if len(dims) < 2:
@@ -230,15 +230,13 @@ def make_net(dims, seed: int, slope: float = 0.01,
         act = (
             Activation("identity")
             if i == len(dims) - 2
-            else Activation("leaky_relu", slope)
+            else Activation("leaky_relu", _HIDDEN_SLOPE)
         )
         # a read-only zero view: the weights are drawn into the net's own
         # parameter vector below, so no full-size temporary is made
         layers.append(DenseLayer(np.broadcast_to(0.0, (fan_out, fan_in)),
                                  np.zeros(fan_out), act))
-    if latent_index is None:
-        latent_index = int(np.argmin(dims[1:]))
-    net = DenseNet(layers, latent_index)
+    net = DenseNet(layers, int(np.argmin(dims[1:])))
     rng = np.random.default_rng(seed)
     for fan_in, (weight, _) in zip(dims, net.layer_views(net.params)):
         rng.standard_normal(out=weight)

@@ -73,12 +73,14 @@ class NoiseSpec:
 
 
 def add_noise(y, spec: NoiseSpec) -> np.ndarray:
-    """Return y + e with e ~ N(0, sigma^2 I) from a PCG64 generator."""
-    vec = as_vector(y)
+    """Return y + e with e ~ N(0, sigma^2 I) from a PCG64 generator, in
+    y's shape: one signal or a stack, one per row, whose noise is one
+    row-major draw."""
+    vec = as_rows(y)
     if spec.sigma == 0.0:
         return vec.copy()
     rng = np.random.default_rng(spec.seed)
-    return vec + spec.sigma * rng.standard_normal(vec.size)
+    return vec + spec.sigma * rng.standard_normal(vec.shape)
 
 
 def psnr(x, ref):

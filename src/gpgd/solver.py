@@ -31,6 +31,10 @@ __all__ = [
     "trace_to_csv",
 ]
 
+# default_step_size's power iteration: relative tolerance and step budget
+_POWER_TOL = 1e-8
+_POWER_MAX_ITERS = 10_000
+
 
 class SolverDivergence(RuntimeError):
     """Iterate became non-finite. row is the first row of the run's batch
@@ -105,8 +109,7 @@ class GpgdTrace:
                          proj_err=pick(self.proj_err))
 
 
-def default_step_size(A: LinearOperator, tol: float = 1e-8,
-                      max_iters: int = 10_000) -> float:
+def default_step_size(A: LinearOperator) -> float:
     """1 / ||A||_2^2 via power iteration on A^T A (fixed internal seed).
     Norms are sqrt(w . w), the bits of np.linalg.norm on a 1-D float64
     vector without its per-call overhead. Raises ValueError at the first
@@ -120,7 +123,7 @@ def default_step_size(A: LinearOperator, tol: float = 1e-8,
     # the finiteness check reports it, not a RuntimeWarning. One errstate
     # spans the loop because entering one costs about 1 us per step.
     with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(max_iters):
+        for _ in range(_POWER_MAX_ITERS):
             w = A.adjoint(A.apply(v))
             lam = float(np.dot(v, w))
             if not math.isfinite(lam):
@@ -129,7 +132,7 @@ def default_step_size(A: LinearOperator, tol: float = 1e-8,
             if norm == 0.0:
                 raise ValueError("default_step_size: zero operator")
             v = w / norm
-            if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+            if abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), 1e-300):
                 break
             lam_prev = lam
     if lam <= 0.0:
@@ -169,20 +172,23 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
     stacks = [np.empty((cfg.max_iters + 1, A.n)) for _ in range(b)]
     residual = np.empty((b, cfg.max_iters + 1))
     proj_err = None if truth is None else np.empty((b, cfg.max_iters))
-    for i in range(cfg.max_iters + 1):
-        if i:
-            p = as_rows(P(x))
-            if truth is not None:
-                proj_err[:, i - 1] = row_norms(p.reshape(b, A.n) - truth)
-            x = p - gamma * A.adjoint(A.apply(p) - yv)
-            finite = np.isfinite(x).reshape(b, A.n)
-            if not finite.all():
-                row = int(np.argmin(finite.all(axis=1)))
-                bad = x.reshape(b, A.n)[row][finite[row]]
-                raise SolverDivergence(i, float(np.linalg.norm(bad)), row)
-        for stack, xr in zip(stacks, x.reshape(b, A.n)):
-            stack[i] = xr
-        residual[:, i] = row_norms(A.apply(x) - yv)
+    # the norms of a huge but finite iterate overflow before its entries
+    # do; a diverging run must reach the finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(cfg.max_iters + 1):
+            if i:
+                p = as_rows(P(x))
+                if truth is not None:
+                    proj_err[:, i - 1] = row_norms(p.reshape(b, A.n) - truth)
+                x = p - gamma * A.adjoint(A.apply(p) - yv)
+                finite = np.isfinite(x).reshape(b, A.n)
+                if not finite.all():
+                    row = int(np.argmin(finite.all(axis=1)))
+                    bad = x.reshape(b, A.n)[row][finite[row]]
+                    raise SolverDivergence(i, float(np.linalg.norm(bad)), row)
+            for stack, xr in zip(stacks, x.reshape(b, A.n)):
+                stack[i] = xr
+            residual[:, i] = row_norms(A.apply(x) - yv)
 
     trace = GpgdTrace(gamma=gamma, residual=residual, iterates=stacks)
     if truth is not None:

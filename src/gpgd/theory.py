@@ -134,31 +134,25 @@ def phi_rows(Pperp: np.ndarray, P: np.ndarray, Z: np.ndarray):
     return np.sqrt(2.0 * np.sqrt(sin2_pp) / denom), undefined
 
 
-def radial_sampler(radius: float = 2.0):
+def radial_sampler(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """Default probe distribution: uniform direction, radius uniform on
-    (0, R). Covers directions uniformly and radii broadly.
+    (0, 2). Covers directions uniformly and radii broadly.
 
-    Returns sample(rng, count, n), a (count, n) block of probes drawn by
-    one (count, n) standard-normal call for the directions, then one
-    uniform call for the count radii. Rows with a zero direction norm, and
-    then rows with a zero radius, are redrawn (in row order, one call per
-    pass), so every row is a nonzero point in the open ball.
+    Returns a (count, n) block of probes drawn by one (count, n)
+    standard-normal call for the directions, then one uniform call for the
+    count radii. Rows with a zero direction norm, and then rows with a zero
+    radius, are redrawn (in row order, one call per pass), so every row is
+    a nonzero point in the open ball.
     """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-
-    def sample(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-        g = rng.standard_normal((count, n))
-        norms = row_norms(g)
-        while (zero := np.flatnonzero(norms == 0.0)).size:
-            g[zero] = rng.standard_normal((zero.size, n))
-            norms[zero] = row_norms(g[zero])
-        r = rng.uniform(0.0, radius, count)
-        while (zero := np.flatnonzero(r == 0.0)).size:
-            r[zero] = rng.uniform(0.0, radius, zero.size)
-        return (r / norms)[:, None] * g
-
-    return sample
+    g = rng.standard_normal((count, n))
+    norms = row_norms(g)
+    while (zero := np.flatnonzero(norms == 0.0)).size:
+        g[zero] = rng.standard_normal((zero.size, n))
+        norms[zero] = row_norms(g[zero])
+    r = rng.uniform(0.0, 2.0, count)
+    while (zero := np.flatnonzero(r == 0.0)).size:
+        r[zero] = rng.uniform(0.0, 2.0, zero.size)
+    return (r / norms)[:, None] * g
 
 
 @dataclass
@@ -189,6 +183,8 @@ _RIC_EIG_CHUNK = 512
 # Relative margin on the bounds before a block is pruned, far above their
 # rounding error, so rounding can never prune the maximising block.
 _RIC_PRUNE_MARGIN = 1e-12
+# ric_exact_ksparse refuses to enumerate more supports than this.
+_RIC_MAX_SUPPORTS = 10**6
 
 
 def _take_blocks(gram: np.ndarray, supports: np.ndarray,
@@ -263,7 +259,7 @@ def _iteration_matrix(A, gamma: float) -> np.ndarray:
     return np.eye(mat.shape[1]) - gamma * (mat.T @ mat)
 
 
-def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
+def ric_exact_ksparse(A, gamma: float, k: int,
                       beta: float | None = None) -> RicEstimate:
     """Exact RIC of gamma A^T A over the k-sparse secant set.
 
@@ -296,9 +292,9 @@ def ric_exact_ksparse(A, gamma: float, k: int, max_supports: int = 10**6,
     n = len(m_op)
     s = min(2 * k, n)
     count = math.comb(n, s)
-    if count > max_supports:
+    if count > _RIC_MAX_SUPPORTS:
         raise ValueError(
-            f"support enumeration too large: C({n},{s})={count} > {max_supports}"
+            f"support enumeration too large: C({n},{s})={count} > {_RIC_MAX_SUPPORTS}"
         )
     gram = m_op @ m_op  # symmetric, so M^T M = M^2
     if not np.isfinite(gram).all():
@@ -433,20 +429,19 @@ class LipschitzEstimate:
 
 
 def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
-                                 z_sampler=None) -> LipschitzEstimate:
+                                 z_sampler=radial_sampler) -> LipschitzEstimate:
     """Max over samples of ||P(z) - x|| / ||z - x|| with x in the model set.
 
     Samples come in blocks of SAMPLE_BLOCK (fewer in the last): each block
     draws its z block by z_sampler(rng, count, n), which returns (count,
-    n) (radial_sampler() by default), then its x block by
+    n) (radial_sampler by default), then its x block by
     models.sample_member. P takes a stack (b, n) of points, one per row;
     it is called once per block, on the rows with z != x in sample order.
     Raises ValueError when nsamples is below 1.
     """
-    sampler = z_sampler if z_sampler is not None else radial_sampler()
     value, witness, series, degenerate = _secant_sup(
         nsamples, seed,
-        lambda rng, count: (sampler(rng, count, model.n),
+        lambda rng, count: (z_sampler(rng, count, model.n),
                             sample_member(model, rng, count)),
         lambda z, x, _: as_rows(P(z)) - x,
     )
@@ -474,11 +469,11 @@ class OrthogonalityReport:
 
 
 def orthogonality_report(model, P, nsamples: int, seed: int,
-                         z_sampler=None) -> OrthogonalityReport:
+                         z_sampler=radial_sampler) -> OrthogonalityReport:
     """Aggregate psi, phi and the projection-deviation ratio over samples.
 
     Samples come in blocks z_sampler(rng, count, n) of shape (count, n)
-    (radial_sampler() by default) of SAMPLE_BLOCK samples (fewer in the
+    (radial_sampler by default) of SAMPLE_BLOCK samples (fewer in the
     last). Samples landing in the model set (models.on_model_set) are
     skipped and counted as degenerate. P takes a stack (b, n) of points,
     one per row; it is called once per block that holds a sample off the
@@ -488,12 +483,11 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
     """
     _check_nsamples(nsamples)
     rng = np.random.default_rng(seed)
-    sampler = z_sampler if z_sampler is not None else radial_sampler()
     # psi sum, then the maxima of psi, phi and the deviation ratio
     totals = np.zeros(4)
     degenerate = 0
     for start in range(0, nsamples, SAMPLE_BLOCK):
-        z_b = sampler(rng, min(SAMPLE_BLOCK, nsamples - start), model.n)
+        z_b = z_sampler(rng, min(SAMPLE_BLOCK, nsamples - start), model.n)
         pperp_b = project(model, z_b)
         off = ~on_model_set(z_b, pperp_b)
         degenerate += len(z_b) - int(np.count_nonzero(off))

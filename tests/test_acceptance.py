@@ -262,7 +262,7 @@ def test_criterion_08_convergence_speed_direction(tmp_path):
         conv_threshold=0.01,
         out_dir=str(tmp_path / "c8"),
     )
-    result = run_experiment(cfg, write_traces=False)
+    result = run_experiment(cfg)
     by = {(r.lam, r.seed, r.item): r for r in result.rows}
     wins = 0
     total = 0

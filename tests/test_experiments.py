@@ -254,7 +254,7 @@ def test_run_experiment_sparse_problem(tmp_path):
         train_epochs=0,
         net_dims=(),
     )
-    result = run_experiment(cfg, write_traces=False)
+    result = run_experiment(cfg)
     assert len(result.rows) == cfg.test_count
     assert all(np.isfinite(r.psnr_best) or r.psnr_best == math.inf for r in result.rows)
 
@@ -262,14 +262,13 @@ def test_run_experiment_sparse_problem(tmp_path):
 def test_prior_from_another_config_is_refused(tmp_path):
     # a checkpoint trained by one config is not silently reused by another
     # that writes to the same out_dir
-    run_experiment(small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2),
-                   write_traces=False)
+    run_experiment(small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2))
     other = small_config(tmp_path, net_dims=(16, 4, 2, 4, 16), train_epochs=50)
     with pytest.raises(ConfigError, match="prior_lam0.ckpt"):
-        run_experiment(other, write_traces=False)
+        run_experiment(other)
     # the same config reuses its own checkpoints
     again = small_config(tmp_path, net_dims=(16, 8, 16), train_epochs=2)
-    assert len(run_experiment(again, write_traces=False).rows) == 8
+    assert len(run_experiment(again).rows) == 8
 
 
 def test_stale_prior_is_refused_before_any_training(tmp_path):
@@ -342,12 +341,11 @@ def test_operator_that_cannot_be_built_is_refused_before_training(tmp_path, over
 
 def test_run_experiment_rows_keep_seed_item_lambda_order(tmp_path):
     cfg = small_config(tmp_path, seeds=(0, 1), train_epochs=2)
-    result = run_experiment(cfg, write_traces=False)
+    result = run_experiment(cfg)
     assert [(r.seed, r.item, r.lam) for r in result.rows] == [
         (seed, item, lam) for seed in cfg.seeds for item in range(cfg.test_count)
         for lam in cfg.lambdas
     ]
-    assert not (Path(cfg.out_dir) / "traces").exists()
 
 
 def test_run_experiment_needs_enough_items(tmp_path):
@@ -395,7 +393,7 @@ def _triangle_reference(vcfg, norm):
     lines = random_lines(vcfg.lines, vcfg.lines_dim, seed(vcfg.seed, 12))
     proj = PerturbedProjector(lines, t=0.1)
     rng = np.random.default_rng(seed(vcfg.seed, 14))
-    sampler = experiments.theory.radial_sampler()
+    sampler = experiments.theory.radial_sampler
     block = experiments.theory.SAMPLE_BLOCK
     worst = -math.inf
     for start in range(0, vcfg.nsamples, block):
@@ -474,6 +472,13 @@ def test_theorem1_instances_stop_only_to_exclude(monkeypatch, make_instance):
 def test_verify_config_rejects_empty_sampling(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
         VerifyConfig(**{field: value})
+
+
+def test_verify_config_sets_only_its_sampling():
+    # the instance sizes are class constants, not fields
+    assert [f.name for f in fields(VerifyConfig)] == [
+        "nseeds", "nsamples", "seed"]
+    assert VerifyConfig().t_grid == (0.05, 0.1, 0.2)
 
 
 def test_verify_theorems_conditioned_instances_qualify(tmp_path):

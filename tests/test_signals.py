@@ -61,6 +61,17 @@ def test_add_noise_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_add_noise_keeps_a_stack_of_rows():
+    # a (b, m) stack stays a stack, and its noise is one row-major draw, so
+    # row r is the same as the flat vector's slice r
+    Y = np.arange(12.0).reshape(3, 4)
+    for sigma in (0.0, 0.05):
+        out = add_noise(Y, NoiseSpec(sigma, seed=9))
+        assert out.shape == (3, 4)
+        flat = add_noise(Y.reshape(-1), NoiseSpec(sigma, seed=9))
+        assert np.array_equal(out, flat.reshape(3, 4))
+
+
 def test_add_noise_empirical_std():
     # Monte-Carlo on the implementation's own generator: 1e6 scalar draws.
     draws = add_noise(np.zeros(10**6), NoiseSpec(0.02, seed=3))

@@ -115,7 +115,7 @@ def test_noiseless_exactness_rate():
     assert err[-1] <= rate**150 * err[0] * (1.0 + 1e-6) + 1e-300
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_divergence_aborts_with_diagnostics():
     A = DenseOperator(np.eye(3))
     blow_up = lambda z: z * 1e160
@@ -476,7 +476,7 @@ def test_trace_csv_refuses_a_multi_row_trace(tmp_path):
     assert np.array_equal(trace.row(-1).residual, trace.row(1).residual)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_divergence_names_the_first_bad_row():
     # the projector overflows the first two entries of row 1 only; the
     # batch stops where the one-row run on row 1 stops, with the same norm

@@ -178,7 +178,7 @@ def test_ric_exact_matches_power_iteration_oracle():
 
 def test_ric_exact_combinatorial_guard():
     with pytest.raises(ValueError):
-        ric_exact_ksparse(np.eye(64), 1.0, 8, max_supports=1000)
+        ric_exact_ksparse(np.eye(64), 1.0, 8)
 
 
 def test_support_table_built_once_and_read_only():
@@ -406,7 +406,7 @@ def test_radial_sampler_redraws_zero_rows():
     # radii, are redrawn for their rows only, and a row is its direction
     # scaled to its radius
     fake = _ZerosFirst(0)
-    Z = radial_sampler(2.0)(fake, 5, 3)
+    Z = radial_sampler(fake, 5, 3)
     assert fake.calls == [("standard_normal", (5, 3)), ("standard_normal", (2, 3)),
                           ("uniform", 5), ("uniform", 2)]
     rng = np.random.default_rng(0)
@@ -418,8 +418,6 @@ def test_radial_sampler_redraws_zero_rows():
     assert np.array_equal(Z, (r / g_norms)[:, None] * g)
     norms = np.linalg.norm(Z, axis=1)
     assert np.all((norms > 0.0) & (norms < 2.0))
-    with pytest.raises(ValueError, match="radius must be > 0"):
-        radial_sampler(0.0)
 
 
 # --- restricted Lipschitz ---------------------------------------------------
@@ -564,10 +562,10 @@ def test_report_lprime_matches_recomputation():
     for proj in (PerturbedProjector(lines, t=0.1), SecondLineProjector(lines, t=0.1)):
         rep = orthogonality_report(lines, proj, nsamples, seed=seed)
         rng = np.random.default_rng(seed)
-        sampler = radial_sampler()
         best = psi_sum = max_psi = max_phi = 0.0
         used = 0
-        for z in np.concatenate(list(_report_stream(lines, sampler, rng, nsamples))):
+        stream = _report_stream(lines, radial_sampler, rng, nsamples)
+        for z in np.concatenate(list(stream)):
             pperp = project(lines, z)
             dist = np.linalg.norm(z - pperp)
             if dist <= 1e-9 * (1.0 + np.linalg.norm(z)):
@@ -662,12 +660,11 @@ def _radial_or_next_member(model):
     estimator draws next (the sampler peeks at the next member block and
     restores the generator state), so that sample has z == x and is
     skipped."""
-    radial = radial_sampler()
     drawn = 0
 
     def sample(rng, count, n):
         nonlocal drawn
-        Z = radial(rng, count, n)
+        Z = radial_sampler(rng, count, n)
         state = rng.bit_generator.state
         X = sample_member(model, rng, count)
         rng.bit_generator.state = state
@@ -702,7 +699,7 @@ _LIPSCHITZ_CASES = {
 @pytest.mark.parametrize("case", sorted(_LIPSCHITZ_CASES))
 def test_lipschitz_matches_per_sample_loop(case):
     P, model, make_sampler = _LIPSCHITZ_CASES[case]
-    samplers = [make_sampler(model) if make_sampler else radial_sampler()
+    samplers = [make_sampler(model) if make_sampler else radial_sampler
                 for _ in range(2)]
     est = restricted_lipschitz_sampled(P, model, NSAMPLES, seed=74,
                                        z_sampler=samplers[0])
@@ -754,12 +751,11 @@ def _radial_or_on_a_line(lines, all_on_line_block=None):
     """Radial blocks, except that every fifth sample is a point on a line,
     which the report skips; so is every sample of the draw numbered
     all_on_line_block (counting from 0), if given."""
-    radial = radial_sampler()
     drawn = draws = 0
 
     def sample(rng, count, n):
         nonlocal drawn, draws
-        Z = radial(rng, count, n)
+        Z = radial_sampler(rng, count, n)
         i = np.arange(drawn, drawn + count)
         on_line = (i % 5 == 0) | (draws == all_on_line_block)
         draws += 1
@@ -865,8 +861,7 @@ def test_triangle_chain_per_sample():
     lines = random_lines(5, 8, seed=18)
     proj = PerturbedProjector(lines, t=0.3)
     rng = np.random.default_rng(20)
-    sampler = radial_sampler()
-    for z, x in _block_pairs(2000, lambda count: sampler(rng, count, 8),
+    for z, x in _block_pairs(2000, lambda count: radial_sampler(rng, count, 8),
                              lambda count: sample_member(lines, rng, count)):
         p = proj(z)
         pperp = project(lines, z)
