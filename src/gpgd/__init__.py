@@ -33,4 +33,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -402,13 +402,14 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Full sweep: for each seed, build the operator and form noisy
-    measurements of every test item; for each lambda, solve all items as
-    one batch with that lambda's prior, and record each item's
-    best-iterate PSNR and convergence iteration. Rows come out ordered by
-    seed, then item, then lambda; timing.json holds one wall time per
-    batch solve, keyed lam{lam:g}_seed{seed}, and traces/ one trace CSV per
-    cell.
+    """Full sweep: for each seed, build the operator, its step size and
+    noisy measurements of every test item; then, one prior at a time in
+    lambda order, solve each seed's items as one batch with that prior, and
+    record each item's best-iterate PSNR and convergence iteration. Each
+    prior is dropped before the next is loaded or trained, so the sweep
+    holds one at a time. Rows come out ordered by seed, then item, then
+    lambda; timing.json holds one wall time per batch solve, keyed
+    lam{lam:g}_seed{seed}, and traces/ one trace CSV per cell.
 
     For problem "sparse" the prior is the exact hard-thresholding
     projection for every lambda (learned priors do not apply there).
@@ -419,37 +420,41 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     test_items = _split_items(cfg, ds)[0].copy()
     chash = config_hash(cfg)
 
-    # every operator first, so a config that cannot build one trains nothing
-    operators = [(seed, _build_operator(cfg, ds, seed)) for seed in cfg.seeds]
-    if cfg.problem == "sparse":
-        projectors = {
-            lam: ExactProjector(KSparse(cfg.sparse_k, ds.n)) for lam in cfg.lambdas
-        }
-    else:
-        projectors = {lam: NetProjector(net) for lam, net in train_priors(cfg, ds)}
-    del ds  # freed before the batches' iterate stacks are allocated
-
-    rows: list[RunRow] = []
-    timings = {}
-    traces_dir = out / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    for seed, A in operators:
+    # every seed's problem first, so a config that cannot build one trains
+    # nothing
+    problems = []
+    for seed in cfg.seeds:
+        A = _build_operator(cfg, ds, seed)
         gamma = cfg.gpgd_gamma if cfg.gpgd_gamma is not None else default_step_size(A)
         y_clean = A.apply(test_items)
         Y = np.stack([
             add_noise(y_clean[item], NoiseSpec(cfg.sigma, _derive_seed(seed, 2, item)))
             for item in range(cfg.test_count)
         ])
-        run_cfg = GpgdConfig(gamma=gamma, max_iters=cfg.gpgd_max_iters)
-        cells = {}
-        for lam in cfg.lambdas:
+        problems.append((seed, A, Y, GpgdConfig(gamma=gamma, max_iters=cfg.gpgd_max_iters)))
+    if cfg.problem == "sparse":
+        priors = ((lam, None) for lam in cfg.lambdas)
+    else:
+        priors = train_priors(cfg, ds)
+    del ds  # train_priors holds it only while it runs
+
+    cells = {}
+    timings = {}
+    traces_dir = out / "traces"
+    traces_dir.mkdir(exist_ok=True)
+    for lam, net in priors:
+        P = (ExactProjector(KSparse(cfg.sparse_k, test_items.shape[1])) if net is None
+             else NetProjector(net))
+        for seed, A, Y, run_cfg in problems:
             name = f"lam{lam:g}_seed{seed}"
-            timings[name], cells[lam] = _solve_batch(
-                A, Y, projectors[lam], run_cfg, test_items, cfg.conv_threshold,
-                traces_dir, name)
+            timings[name], cells[seed, lam] = _solve_batch(
+                A, Y, P, run_cfg, test_items, cfg.conv_threshold, traces_dir, name)
+        del net, P  # hold no prior while the next one is loaded or trained
+    rows: list[RunRow] = []
+    for seed in cfg.seeds:
         for item in range(cfg.test_count):
             for lam in cfg.lambdas:
-                idx, psnr_best, conv = cells[lam][item]
+                idx, psnr_best, conv = cells[seed, lam][item]
                 rows.append(RunRow(lam=lam, seed=seed, item=item, psnr_best=psnr_best,
                                    best_index=idx, conv_iter=conv, cfg_hash=chash))
 

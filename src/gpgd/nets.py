@@ -13,7 +13,9 @@ training step runs one
 forward and one backward pass over the data rows stacked on the z rows. Its
 buffers, the gradient and one workspace per row count, are views of one
 flat scratch block per network, the arena, which training also lends to
-each epoch's history pass.
+each epoch's history pass. A buffer is held only while it is read: the
+backward pass writes each layer's gradient over that layer's output, and
+train draws each step's z batch straight into the workspace.
 """
 
 from __future__ import annotations
@@ -297,12 +299,11 @@ class _LayerPass(NamedTuple):
     slope: float | None  # leaky-ReLU slope; None for the identity
     a_in: np.ndarray
     pre: np.ndarray  # pre-activation
-    a_out: np.ndarray
-    delta: np.ndarray  # upstream gradient at the pre-activation
-    delta_t: np.ndarray
+    a_out: np.ndarray  # the output, then the gradient at the pre-activation
+    a_out_t: np.ndarray
     g_w: np.ndarray  # weight and bias gradients
     g_b: np.ndarray
-    delta_below: np.ndarray | None  # the layer below's delta; None for the first
+    below: bool  # whether a layer below takes a gradient (into a_in)
 
 
 def _take(block: np.ndarray, start: int, *shapes) -> list[np.ndarray]:
@@ -319,19 +320,20 @@ def _take(block: np.ndarray, start: int, *shapes) -> list[np.ndarray]:
 
 
 def _workspace_widths(net: DenseNet) -> list[int]:
-    """Column counts of a _Workspace's buffers in arena order: the input and
-    every layer's output, the leaky-ReLU layers' pre-activations, every
-    layer's upstream gradient, and resid."""
+    """Column counts of a _Workspace's stacked-row buffers in arena order:
+    the input and every layer's output, then the leaky-ReLU layers'
+    pre-activations."""
     dims = net.dims
     hidden = [d for d, layer in zip(dims[1:], net.layers)
               if layer.activation.kind != "identity"]
-    return dims + hidden + dims[1:] + dims[:1]
+    return dims + hidden
 
 
-def _step_floats(net: DenseNet, rows: int) -> int:
-    """Arena floats of a training step over `rows` stacked rows: the
-    gradient, then a _Workspace."""
-    return net.params.size + rows * sum(_workspace_widths(net))
+def _step_floats(net: DenseNet, data_rows: int, z_rows: int) -> int:
+    """Arena floats of a training step over `data_rows` data rows stacked
+    on `z_rows` z rows: the gradient, then a _Workspace."""
+    return (net.params.size + (data_rows + z_rows) * sum(_workspace_widths(net))
+            + z_rows * net.n)
 
 
 def _history_floats(net: DenseNet, count: int) -> int:
@@ -343,47 +345,53 @@ def _history_floats(net: DenseNet, count: int) -> int:
 
 
 class _Workspace:
-    """Buffers of one forward/backward pass over `rows` stacked rows, in
-    the network's arena after the gradient.
+    """Buffers of one forward/backward pass over `data_rows` data rows
+    stacked on `z_rows` z rows, in the network's arena after the gradient.
 
     `acts` holds each layer's input (acts[0] is the net input) and the net
-    output; `resid` is scratch for z - net(z). `table` holds one _LayerPass
-    per layer, with its pre-activation and upstream-gradient buffers (an
-    identity layer's pre-activation buffer is its output buffer) and its
-    views into the network's flat gradient buffer, kept as `grad`; with it
-    a step looks up no attributes. Workspaces of every row count start at
+    output; `resid` is scratch for the z rows' z - net(z). `table` holds one
+    _LayerPass per layer, with its pre-activation buffer (an identity
+    layer's is its output buffer) and its views into the network's flat
+    gradient buffer, kept as `grad`; with it a step looks up no attributes.
+
+    No buffer holds an upstream gradient: the backward pass writes each
+    layer's gradient over that layer's output, which the layer above has
+    read for its weight gradient by then, and the gradient at the net
+    output over the output itself. Workspaces of every row count start at
     the same offset: a step writes each buffer before it reads it, so none
     carries anything from one step to the next.
     """
 
-    def __init__(self, net: DenseNet, rows: int):
+    def __init__(self, net: DenseNet, data_rows: int, z_rows: int):
         dims = net.dims
-        arena = _arena(net, _step_floats(net, rows))
+        rows = data_rows + z_rows
+        arena = _arena(net, _step_floats(net, data_rows, z_rows))
         self.grad = arena[: net.params.size]
         grad_views = _split(self.grad, dims)
         views = iter(_take(arena, self.grad.size,
-                           *((rows, w) for w in _workspace_widths(net))))
+                           *((rows, w) for w in _workspace_widths(net)),
+                           (z_rows, net.n)))
         self.acts = [next(views) for _ in dims]
         pres = [
             self.acts[l + 1] if layer.activation.kind == "identity" else next(views)
             for l, layer in enumerate(net.layers)
         ]
-        deltas = [next(views) for _ in dims[1:]]
         self.resid = next(views)
         self.table = [
             _LayerPass(
                 layer.weight, layer.weight.T, layer.bias,
                 None if layer.activation.kind == "identity" else layer.activation.slope,
-                self.acts[l], pres[l], self.acts[l + 1],
-                deltas[l], deltas[l].T, g_w, g_b, deltas[l - 1] if l else None)
+                self.acts[l], pres[l], self.acts[l + 1], self.acts[l + 1].T,
+                g_w, g_b, l > 0)
             for l, (layer, (g_w, g_b)) in enumerate(zip(net.layers, grad_views))
         ]
 
 
-def _workspace(net: DenseNet, rows: int) -> _Workspace:
-    work = net._workspaces.get(rows)
+def _workspace(net: DenseNet, data_rows: int, z_rows: int) -> _Workspace:
+    key = (data_rows, z_rows)
+    work = net._workspaces.get(key)
     if work is None:
-        work = net._workspaces[rows] = _Workspace(net, rows)
+        work = net._workspaces[key] = _Workspace(net, data_rows, z_rows)
     return work
 
 
@@ -424,26 +432,26 @@ def _backprop(work: _Workspace, targets: np.ndarray, z_scale: float):
     """
     s = targets.shape[0]
     out = _forward(work)
-    d_out = work.table[-1].delta
+    # the gradient at the output is written over the output: the data rows
+    # subtract in place, and psi_rows reads its P before it writes dpsi
     data = psi_sum = 0.0
     if s:
-        resid = np.subtract(out[:s], targets, out=d_out[:s])
+        resid = np.subtract(out[:s], targets, out=out[:s])
         data = float(np.vdot(resid, resid)) / resid.size
         resid *= 2.0
         resid /= resid.size
     if out.shape[0] > s:
-        psi_vals, _ = psi_rows(out[s:], work.acts[0][s:], dpsi=d_out[s:],
-                               R=work.resid[s:])
+        psi_vals, _ = psi_rows(out[s:], work.acts[0][s:], dpsi=out[s:],
+                               R=work.resid)
         psi_sum = float(psi_vals.sum())
-        d_out[s:] *= z_scale
-    for weight, _, _, slope, a, z, _, d, d_t, g_w, g_b, d_below in reversed(
-            work.table):
+        out[s:] *= z_scale
+    for weight, _, _, slope, a, z, d, d_t, g_w, g_b, below in reversed(work.table):
         if slope is not None:
             d *= _leaky_relu_derivative(z, slope, z)
         np.matmul(d_t, a, out=g_w)
         np.add.reduce(d, axis=0, out=g_b)
-        if d_below is not None:
-            np.matmul(d, weight, out=d_below)
+        if below:  # a is read for the last time above
+            np.matmul(d, weight, out=a)
     return data, psi_sum, work.grad
 
 
@@ -537,7 +545,7 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
     elif cfg.lam != 0.0:
         raise ValueError("a z batch is required when lam != 0")
     s = X.shape[0]
-    work = _workspace(net, 2 * s if cfg.lam != 0.0 else s)
+    work = _workspace(net, s, s if cfg.lam != 0.0 else 0)
     inputs = work.acts[0]
     if cfg.mode == "PnP":
         np.random.default_rng(noise_seed).standard_normal(out=inputs[:s])
@@ -546,7 +554,7 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
     else:
         inputs[:s] = X
     if cfg.lam != 0.0:
-        inputs[s:] = Z
+        inputs[s:] = Z  # no copy when Z views these rows, as in train
     data, psi_sum, grad = _backprop(work, X, cfg.lam / s)
     sor = psi_sum / s
     loss = data + cfg.lam * sor
@@ -651,16 +659,14 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
     state = adam_state_for(net)
     history: list[EpochRecord] = []
     count = items.shape[0]
-    # The z batch is drawn into one buffer; random(out=...) gives the bits
-    # of uniform(size=...), which computes 0 + 1 * random().
     batch = min(cfg.batch_size, count)
-    zbuf = np.empty((batch, n)) if cfg.lam != 0.0 else None
+    stacked = cfg.lam != 0.0  # z rows under the data rows
     pnp = cfg.mode == "PnP"
     try:
         # One arena for the whole run, sized for the largest step and for
         # the history pass, which reuses it once the epoch's steps are done.
-        rows = 2 * batch if cfg.lam != 0.0 else batch  # data rows, then z rows
-        arena = _arena(net, max(_step_floats(net, rows), _history_floats(net, count)))
+        arena = _arena(net, max(_step_floats(net, batch, batch if stacked else 0),
+                                _history_floats(net, count)))
         for epoch in range(cfg.epochs):
             perm = shuffle_rng.permutation(count)
             # A diverging step overflows before its loss turns non-finite;
@@ -669,7 +675,14 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
                 for step, start in enumerate(range(0, count, cfg.batch_size)):
                     idx = perm[start : start + cfg.batch_size]
                     xb = items[idx]
-                    zb = None if zbuf is None else z_rng.random(out=zbuf[: idx.size])
+                    zb = None
+                    if stacked:
+                        # drawn straight into the step's z rows, which
+                        # loss_and_grad then leaves as they are;
+                        # random(out=...) gives the bits of uniform(size=...),
+                        # which computes 0 + 1 * random()
+                        zb = z_rng.random(
+                            out=_workspace(net, idx.size, idx.size).acts[0][idx.size:])
                     noise_seed = int(noise_rng.integers(2**63)) if pnp else 0
                     try:
                         _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)

@@ -39,7 +39,7 @@ _POWER_MAX_ITERS = 10_000
 class SolverDivergence(RuntimeError):
     """Iterate became non-finite. row is the first row of the run's batch
     that did (0 for a one-vector run); norm is the norm of that row's
-    finite entries."""
+    previous iterate, its last finite one when the run started finite."""
 
     def __init__(self, iteration: int, norm: float, row: int):
         super().__init__(
@@ -184,8 +184,9 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
                 finite = np.isfinite(x).reshape(b, A.n)
                 if not finite.all():
                     row = int(np.argmin(finite.all(axis=1)))
-                    bad = x.reshape(b, A.n)[row][finite[row]]
-                    raise SolverDivergence(i, float(np.linalg.norm(bad)), row)
+                    # hypot scales by the largest entry, so the norm of a
+                    # finite iterate past about 1.3e154 does not overflow
+                    raise SolverDivergence(i, math.hypot(*stacks[row][i - 1]), row)
             for stack, xr in zip(stacks, x.reshape(b, A.n)):
                 stack[i] = xr
             residual[:, i] = row_norms(A.apply(x) - yv)

@@ -64,8 +64,9 @@ def psi_rows(P: np.ndarray, Z: np.ndarray, dpsi: np.ndarray | None = None,
     skips the weighting, which is exact (x * 1 and x + 0 are x), so a row's
     bits do not depend on its neighbours. Non-finite rows are not
     degenerate, so their NaN reaches the caller. When dpsi is given it
-    receives the unclamped d psi / d p row by row; R, if given, is scratch
-    for Z - P. Returns (psi per row, degenerate mask).
+    receives the unclamped d psi / d p row by row; it may be P itself,
+    which is read only before dpsi is written. R, if given, is scratch for
+    Z - P. Returns (psi per row, degenerate mask).
     """
     R = np.subtract(Z, P, out=R)
     u = np.einsum("ij,ij->i", P, R)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -195,6 +196,40 @@ def test_run_experiment_rows_and_files(tmp_path):
     assert header == "lambda,seed,item,psnr_best,best_index,conv_iter,config_hash"
     for row in result.rows:
         assert row.cfg_hash == result.cfg_hash
+
+
+def test_run_experiment_holds_one_prior_at_a_time(tmp_path, monkeypatch):
+    # each prior the sweep gets is dead before the next one is trained or
+    # loaded, and so when the next one is yielded: first a run that trains
+    # every prior, then one that loads them
+    cfg = small_config(tmp_path, lambdas=(0.0, 0.2, 0.4), train_epochs=2)
+    refs = []
+
+    def assert_none_alive(what):
+        assert all(ref() is None for ref in refs), (what, len(refs))
+
+    def checked(real):
+        def call(*args, **kwargs):
+            assert_none_alive(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    def spying(real):
+        def priors(*args):
+            for lam, net in real(*args):
+                assert_none_alive(f"yield {lam}")
+                refs.append(weakref.ref(net))
+                yield lam, net
+                del net
+        return priors
+
+    monkeypatch.setattr(experiments, "train_priors", spying(experiments.train_priors))
+    for name in ("make_net", "load_checkpoint"):
+        monkeypatch.setattr(experiments, name, checked(getattr(experiments, name)))
+    trained = run_experiment(cfg)
+    loaded = run_experiment(cfg)
+    assert len(refs) == 2 * len(cfg.lambdas)
+    assert loaded.rows == trained.rows
 
 
 def test_run_experiment_matches_manual_run(tmp_path):

@@ -17,6 +17,7 @@ from gpgd.nets import (
     TrainingDiverged,
     adam_state_for,
     adam_step,
+    autoencoder_dims,
     forward,
     forward_batch,
     history_to_csv,
@@ -29,7 +30,7 @@ from gpgd.nets import (
     _leaky_relu_derivative,
     train,
 )
-from gpgd.theory import PSI_GUARD
+from gpgd.theory import PSI_GUARD, psi_rows
 from unbiasedness import stochastic_gradient_unbiasedness_check
 
 
@@ -276,12 +277,96 @@ def test_stacked_pass_matches_separate_passes(mode):
     data, data_grad = loss_and_grad(net, X, Z, TrainConfig(lam=0.0, mode=mode, xi=0.1),
                                     noise_seed=5)
     data_grad = data_grad.copy()
-    work = _workspace(net, 7)
+    work = _workspace(net, 0, 7)
     work.acts[0][...] = Z
     _, psi_sum, sor_grad = _backprop(work, np.empty((0, 6)), 0.4 / 7)
     separate = data_grad + sor_grad
     assert np.max(np.abs(stacked - separate)) <= 1e-12 * np.max(np.abs(separate))
     assert loss == pytest.approx(data + 0.4 * psi_sum / 7, rel=1e-12)
+
+
+def _reference_loss_and_grad(net, X, Z, cfg, noise_seed):
+    """loss_and_grad in its op order, with a fresh array for every
+    activation, pre-activation and gradient instead of the workspace, where
+    a layer's gradient overwrites its output."""
+    s = X.shape[0]
+    if cfg.mode == "PnP":
+        inputs = np.random.default_rng(noise_seed).standard_normal(X.shape)
+        inputs *= cfg.xi
+        inputs += X
+    else:
+        inputs = X.copy()
+    acts = [np.vstack([inputs, Z]) if cfg.lam != 0.0 else inputs]
+    pres = []
+    for layer in net.layers:
+        z = np.matmul(acts[-1], layer.weight.T)
+        z += layer.bias
+        pres.append(z)
+        if layer.activation.kind == "identity":
+            acts.append(z)
+        else:
+            acts.append(_leaky_relu(z, layer.activation.slope, np.empty_like(z)))
+    out = acts[-1]
+    g = np.empty_like(out)
+    resid = out[:s] - X
+    data = float(np.vdot(resid, resid)) / resid.size
+    resid *= 2.0
+    resid /= resid.size
+    g[:s] = resid
+    psi_sum = 0.0
+    if cfg.lam != 0.0:
+        dpsi = np.empty_like(Z)
+        psi_vals, _ = psi_rows(out[s:], Z, dpsi=dpsi)
+        psi_sum = float(psi_vals.sum())
+        dpsi *= cfg.lam / s
+        g[s:] = dpsi
+    grads = []
+    for layer, a, z in reversed(list(zip(net.layers, acts, pres))):
+        if layer.activation.kind != "identity":
+            g = g * _leaky_relu_derivative(z, layer.activation.slope, np.empty_like(z))
+        grads.append(np.concatenate([np.matmul(g.T, a).ravel(), np.add.reduce(g, axis=0)]))
+        g = np.matmul(g, layer.weight)
+    return data + cfg.lam * (psi_sum / s), np.concatenate(grads[::-1])
+
+
+def _net_with_identity_hidden_layer():
+    # an identity hidden layer's pre-activation buffer is its output buffer
+    rng = np.random.default_rng(47)
+    acts = [Activation("leaky_relu", 0.01), Activation("identity"),
+            Activation("leaky_relu", 0.01), Activation("identity")]
+    dims = (12, 8, 4, 8, 12)
+    return DenseNet([DenseLayer(rng.standard_normal((o, i)) / math.sqrt(i),
+                                rng.standard_normal(o) * 0.1, act)
+                     for i, o, act in zip(dims, dims[1:], acts)])
+
+
+@pytest.mark.parametrize("mode", ["AE", "PnP"])
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ["make_net", "identity-hidden"])
+def test_loss_and_grad_matches_reference_with_separate_buffers(kind, mode, lam):
+    # the workspace writes each gradient over a spent activation; a full
+    # batch, a short batch in the same arena, then the full batch again
+    # give the bits of a pass that keeps every buffer apart
+    net = make_net((12, 8, 4, 8, 12), seed=46) if kind == "make_net" \
+        else _net_with_identity_hidden_layer()
+    rng = np.random.default_rng(48)
+    cfg = TrainConfig(lam=lam, mode=mode, xi=0.1, batch_size=8)
+    for rows in (8, 5, 8):
+        X = rng.uniform(0, 1, (rows, 12))
+        Z = rng.uniform(0, 1, (rows, 12))
+        loss, grad = loss_and_grad(net, X, Z, cfg, noise_seed=rows)
+        ref_loss, ref_grad = _reference_loss_and_grad(net, X, Z, cfg, rows)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad), rows
+
+
+def test_step_floats_of_the_784_wide_prior():
+    # 64 data + 64 z rows of the 784-392-196-392-784 prior: the gradient,
+    # the inputs and outputs of every layer, the three hidden
+    # pre-activations and the z rows' residual, and no buffer more
+    net = make_net(autoencoder_dims(784), seed=0)
+    assert net.dims == [784, 392, 196, 392, 784]
+    assert nets_module._step_floats(net, 64, 64) == 1_271_844
+    assert nets_module._step_floats(net, 64, 0) == 995_876
 
 
 def test_training_step_allocates_no_large_array():
@@ -533,24 +618,27 @@ def test_train_deterministic_per_seed():
 
 def test_train_replay_oracle():
     # step-by-step replay with the documented seed-stream layout: probe,
-    # shuffle, z, noise spawned in that order from SeedSequence(cfg.seed)
-    data = np.random.default_rng(10).uniform(0, 1, (4, 3))
+    # shuffle, z, noise spawned in that order from SeedSequence(cfg.seed);
+    # at 5 items each epoch ends on a 1-row batch, whose z row train draws
+    # into a workspace of its own
     cfg = TrainConfig(lam=0.3, tau=0.01, epochs=2, batch_size=2, seed=77)
-    trained, _ = train(make_net((3, 3), seed=13), data, cfg)
+    for count in (4, 5):
+        data = np.random.default_rng(10).uniform(0, 1, (count, 3))
+        trained, _ = train(make_net((3, 3), seed=13), data, cfg)
 
-    replica = make_net((3, 3), seed=13)
-    probe_ss, shuffle_ss, z_ss, noise_ss = np.random.SeedSequence(77).spawn(4)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    z_rng = np.random.default_rng(z_ss)
-    state = adam_state_for(replica)
-    for _ in range(2):
-        perm = shuffle_rng.permutation(4)
-        for start in (0, 2):
-            idx = perm[start : start + 2]
-            zb = z_rng.uniform(size=(2, 3))
-            _, grads = loss_and_grad(replica, data[idx], zb, cfg, 0)
-            adam_step(replica, grads, state, cfg.tau, *cfg.adam)
-    assert np.array_equal(trained.params, replica.params)
+        replica = make_net((3, 3), seed=13)
+        probe_ss, shuffle_ss, z_ss, noise_ss = np.random.SeedSequence(77).spawn(4)
+        shuffle_rng = np.random.default_rng(shuffle_ss)
+        z_rng = np.random.default_rng(z_ss)
+        state = adam_state_for(replica)
+        for _ in range(2):
+            perm = shuffle_rng.permutation(count)
+            for start in range(0, count, 2):
+                idx = perm[start : start + 2]
+                zb = z_rng.uniform(size=(idx.size, 3))
+                _, grads = loss_and_grad(replica, data[idx], zb, cfg, 0)
+                adam_step(replica, grads, state, cfg.tau, *cfg.adam)
+        assert np.array_equal(trained.params, replica.params), count
 
 
 @pytest.mark.parametrize("mode", ["AE", "PnP"])
@@ -671,7 +759,7 @@ def test_workspaces_sharing_the_arena_match_fresh_nets(mode, lam):
         fresh_loss, fresh_grad = loss_and_grad(net.copy(), X, Z, cfg, noise_seed=rows)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad), rows
         if rows == 3:
-            small, large = (shared._workspaces[r * (2 if lam else 1)] for r in (3, 7))
+            small, large = (shared._workspaces[r, r if lam else 0] for r in (3, 7))
             assert np.shares_memory(small.acts[0], large.acts[0])
             assert np.shares_memory(grad, shared._arena)
     assert len(shared._workspaces) == 1  # the 7- and 3-row ones viewed the old arena
@@ -796,7 +884,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     from gpgd.nets import _backprop, _workspace
 
     # data rows only, then z rows only, through the training pass
-    work = _workspace(net, 8)
+    work = _workspace(net, 8, 0)
     work.acts[0][...] = data
     data_grad = _backprop(work, data, 0.0)[2].copy()
     # high-precision reference (1e6 points, chunked) so its own Monte-Carlo
@@ -804,7 +892,7 @@ def test_unbiasedness_error_shrinks_at_root_trials_rate():
     rng = np.random.default_rng(21)
     sor_ref = np.zeros(net.n_params())
     n_chunks, per_chunk = 10, 100_000
-    work = _workspace(net, per_chunk)
+    work = _workspace(net, 0, per_chunk)
     for _ in range(n_chunks):
         work.acts[0][...] = rng.uniform(size=(per_chunk, 6))
         sor_ref += _backprop(work, np.empty((0, 6)),

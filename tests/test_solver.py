@@ -125,6 +125,9 @@ def test_divergence_aborts_with_diagnostics():
     with pytest.raises(SolverDivergence) as exc:
         gpgd_run(A, np.zeros(3), blow_up, cfg)
     assert exc.value.iteration >= 1 and exc.value.row == 0
+    # the last finite iterate is (5e159, 5e159, 5e159), whose norm
+    # np.linalg.norm would overflow to inf
+    assert exc.value.norm == pytest.approx(math.sqrt(3.0) * 5e159, rel=1e-12)
 
 
 def test_default_x0_is_adjoint_of_y():
@@ -480,7 +483,7 @@ def test_trace_csv_refuses_a_multi_row_trace(tmp_path):
 def test_divergence_names_the_first_bad_row():
     # the projector overflows the first two entries of row 1 only; the
     # batch stops where the one-row run on row 1 stops, with the same norm
-    # of the finite entries, and names row 1
+    # of the last finite iterate, (5e159, 5e159, 0.5, 0.5), and names row 1
     A = PixelMask(range(4), n=4)
 
     def blow_up(z):
@@ -501,5 +504,6 @@ def test_divergence_names_the_first_bad_row():
         gpgd_run(A, np.zeros((3, 4)), blow_up_row_1, cfg)
     assert batch.value.row == 1
     assert batch.value.iteration == one.value.iteration == 2
-    assert batch.value.norm == one.value.norm == np.linalg.norm([0.25, 0.25])
+    assert batch.value.norm == one.value.norm
+    assert one.value.norm == pytest.approx(7.0711e159, rel=1e-4)
     assert "row 1" in str(batch.value)

@@ -45,7 +45,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     rng = np.random.default_rng(seed)
 
     # Full-batch data gradient (exact part of the reference).
-    work = _workspace(net, count)
+    work = _workspace(net, count, 0)
     work.acts[0][...] = items
     data_flat = _backprop(work, items, 0.0)[2].copy()
 
@@ -54,7 +54,7 @@ def stochastic_gradient_unbiasedness_check(net: DenseNet, dataset,
     if cfg.lam != 0.0:
         n_chunks = 200
         per_chunk = max(mc_points // n_chunks, 1)
-        work = _workspace(net, per_chunk)
+        work = _workspace(net, 0, per_chunk)
         no_data = np.empty((0, n))
         chunk_arr = np.empty((n_chunks, n_params))
         for c in range(n_chunks):
