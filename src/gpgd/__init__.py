@@ -29,8 +29,7 @@ from .theory import (
     ric_exact_ksparse,
     ric_sampled,
     theorem1_bound,
-    theorem2_combine,
     theorem3_bound,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

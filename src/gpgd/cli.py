@@ -17,6 +17,7 @@ from .datasets import save_dataset_csv, synth_dataset
 from .experiments import (
     ExperimentConfig,
     VerifyConfig,
+    _summary_table,
     aggregate_report,
     config_from_text,
     config_to_text,
@@ -150,14 +151,7 @@ def _cmd_solve(args) -> int:
     (out / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")
     result = run_experiment(cfg)
     print(f"config hash {result.cfg_hash}; {len(result.rows)} runs")
-    for rec in result.summary:
-        conv = rec["median_conv"]
-        conv_str = "never" if conv != conv or conv == float("inf") else f"{conv:.1f}"
-        print(
-            f"lambda={rec['lambda']:g}: mean PSNR {rec['mean_psnr']:.3f} dB "
-            f"(std {rec['std_psnr']:.3f}), median convergence {conv_str}, "
-            f"never {rec['never_count']}/{rec['cells']}"
-        )
+    print(_summary_table(result.summary))
     return 0
 
 

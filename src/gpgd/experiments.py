@@ -879,6 +879,12 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: {exc}") from None
     summary = _summarize(cells, sorted({lam for lam, _, _ in cells}))
+    return _summary_table(summary), summary
+
+
+def _summary_table(summary: list[dict]) -> str:
+    """The per-lambda table of _summarize's records that gpgd solve and
+    gpgd report print."""
     lines = ["lambda   cells  mean_psnr  std_psnr  median_conv  never"]
     for rec in summary:
         conv_str = (
@@ -888,4 +894,4 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
             f"{rec['lambda']:<8g} {rec['cells']:<6d} {rec['mean_psnr']:<10.3f} "
             f"{rec['std_psnr']:<9.3f} {conv_str:<12} {rec['never_count']}"
         )
-    return "\n".join(lines), summary
+    return "\n".join(lines)

@@ -2,7 +2,7 @@
 gradient descent: restricted isometry constants, restricted Lipschitz
 constants, and the orthogonality quantities of approximate projections.
 
-Sampled suprema are lower bounds with witnesses, never certified values:
+Sampled suprema are lower bounds, never certified values:
 the underlying suprema range over all of R^n and are not computable in
 general. Exact values are available only for the sparse model, by support
 enumeration.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "orthogonality_report",
     "Theorem1Bound",
     "theorem1_bound",
-    "theorem2_combine",
     "theorem3_bound",
     "radial_sampler",
 ]
@@ -158,20 +157,18 @@ def radial_sampler(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 @dataclass
 class RicEstimate:
-    """Restricted isometry constant of I - gamma A^T A on a secant set.
+    """Restricted isometry constant of I - gamma A^T A on a secant set:
+    exact (ric_exact_ksparse) or a sampled lower bound (ric_sampled).
 
     samples counts the supports (exact) or secant pairs (sampled) the value
-    ranges over; evaluated, for the exact method, counts the supports whose
-    Gram block was eigendecomposed after pruning (None when sampled);
-    degenerate, for the sampled method, counts the pairs skipped because
-    their difference was (numerically) zero (None when exact).
+    ranges over; evaluated, when exact, counts the supports whose Gram block
+    was eigendecomposed after pruning (None when sampled); degenerate, when
+    sampled, counts the pairs skipped because their difference was
+    (numerically) zero (None when exact).
     """
 
     value: float
-    method: str  # "ExactSparseBruteForce" | "SampledLowerBound"
     samples: int
-    seed: int | None = None
-    series: np.ndarray | None = field(default=None, repr=False)
     evaluated: int | None = None
     degenerate: int | None = None
 
@@ -327,12 +324,8 @@ def ric_exact_ksparse(A, gamma: float, k: int,
             evaluated += len(picked)
             if excluded(best):
                 break
-    return RicEstimate(
-        value=math.sqrt(max(best, 0.0)),
-        method="ExactSparseBruteForce",
-        samples=count,
-        evaluated=evaluated,
-    )
+    return RicEstimate(value=math.sqrt(max(best, 0.0)), samples=count,
+                       evaluated=evaluated)
 
 
 # Samples per block in the sampled estimators: each block is drawn with a
@@ -359,16 +352,13 @@ def _secant_sup(nsamples: int, seed: int, draw, image):
     with seed. Rows with ||d|| at or below _SECANT_GUARD are skipped and
     counted as degenerate; image is called once per block that has a used
     row, on the used rows only, and returns their images as rows. Neither a
-    skipped row nor a NaN ratio ever raises the running maximum. Returns
-    (value, witness, series, degenerate): witness is (a, b) of the first
-    sample whose ratio is the value (None if no ratio exceeds 0), series
-    the running maximum after each sample. Raises ValueError when nsamples
-    is below 1.
+    skipped row nor a NaN ratio ever raises the running maximum, which
+    starts at 0. Returns (value, degenerate). Raises ValueError when
+    nsamples is below 1.
     """
     _check_nsamples(nsamples)
     rng = np.random.default_rng(seed)
-    series = np.zeros(nsamples)
-    best, witness, degenerate = 0.0, None, 0
+    best, degenerate = 0.0, 0
     for start in range(0, nsamples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, nsamples - start)
         a, b = draw(rng, count)
@@ -376,16 +366,10 @@ def _secant_sup(nsamples: int, seed: int, draw, image):
         norms = row_norms(d)
         used = norms > _SECANT_GUARD
         degenerate += count - int(np.count_nonzero(used))
-        ratios = np.full(count, np.nan)
         if used.any():
-            ratios[used] = row_norms(image(a[used], b[used], d[used])) / norms[used]
-        running = series[start : start + count]
-        np.fmax(np.fmax.accumulate(ratios), best, out=running)
-        top = int(np.argmax(running))  # running is sorted: the first maximal sample
-        if running[top] > best:
-            best = float(running[top])
-            witness = (a[top].copy(), b[top].copy())
-    return best, witness, series, degenerate
+            ratios = row_norms(image(a[used], b[used], d[used])) / norms[used]
+            best = float(np.fmax(best, np.fmax.reduce(ratios)))
+    return best, degenerate
 
 
 def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate:
@@ -397,21 +381,14 @@ def ric_sampled(A, gamma: float, model, nsamples: int, seed: int) -> RicEstimate
     is below 1, or when gamma or an entry of A is not finite.
     """
     m_op = _iteration_matrix(A, gamma)
-    value, _, series, degenerate = _secant_sup(
+    value, degenerate = _secant_sup(
         nsamples, seed,
         lambda rng, count: (sample_member(model, rng, count),
                             sample_member(model, rng, count)),
         # row-by-row matmul: the bits of m_op @ diff for every row
         lambda x1, x2, diffs: np.matmul(m_op, diffs[:, :, None])[..., 0],
     )
-    return RicEstimate(
-        value=value,
-        method="SampledLowerBound",
-        samples=nsamples,
-        seed=seed,
-        series=series,
-        degenerate=degenerate,
-    )
+    return RicEstimate(value=value, samples=nsamples, degenerate=degenerate)
 
 
 @dataclass
@@ -423,9 +400,6 @@ class LipschitzEstimate:
 
     value: float
     samples: int
-    seed: int
-    witness: tuple[np.ndarray, np.ndarray] | None
-    series: np.ndarray | None = field(default=None, repr=False)
     degenerate: int = 0
 
 
@@ -440,16 +414,13 @@ def restricted_lipschitz_sampled(P, model, nsamples: int, seed: int,
     it is called once per block, on the rows with z != x in sample order.
     Raises ValueError when nsamples is below 1.
     """
-    value, witness, series, degenerate = _secant_sup(
+    value, degenerate = _secant_sup(
         nsamples, seed,
         lambda rng, count: (z_sampler(rng, count, model.n),
                             sample_member(model, rng, count)),
         lambda z, x, _: as_rows(P(z)) - x,
     )
-    return LipschitzEstimate(
-        value=value, samples=nsamples, seed=seed, witness=witness, series=series,
-        degenerate=degenerate,
-    )
+    return LipschitzEstimate(value=value, samples=nsamples, degenerate=degenerate)
 
 
 @dataclass
@@ -465,7 +436,6 @@ class OrthogonalityReport:
     max_phi: float
     lprime_hat: float
     samples: int
-    seed: int
     degenerate: int = 0
 
 
@@ -509,23 +479,21 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
         max_phi=float(totals[2]),
         lprime_hat=float(totals[3]),
         samples=nsamples,
-        seed=seed,
         degenerate=degenerate,
     )
 
 
 @dataclass
 class Theorem1Bound:
-    """Linear-recovery error bound sequence, or "no guarantee" if rate >= 1.
+    """Linear-recovery error bound sequence; bounds and limit are None ("no
+    guarantee") when the rate delta * beta is at least 1.
 
     bounds[i] = rate^i * init_err + gamma * (sum_{j<i} rate^j) * atn_norm,
-    limit = gamma / (1 - rate) * atn_norm. The rate is delta * beta with
-    delta already including the step size (RIC of gamma A^T A), so only the
-    noise term carries an explicit gamma factor.
+    limit = gamma / (1 - rate) * atn_norm. delta already includes the step
+    size (RIC of gamma A^T A), so only the noise term carries an explicit
+    gamma factor.
     """
 
-    rate: float
-    guaranteed: bool
     bounds: np.ndarray | None
     limit: float | None
 
@@ -539,20 +507,12 @@ def theorem1_bound(delta: float, beta: float, gamma: float, init_err: float,
             raise ValueError(f"{name} must be >= 0, got {v}")
     rate = delta * beta
     if rate >= 1.0:
-        return Theorem1Bound(rate=rate, guaranteed=False, bounds=None, limit=None)
+        return Theorem1Bound(bounds=None, limit=None)
     powers = rate ** np.arange(iters + 1)
     partial_sums = np.concatenate([[0.0], np.cumsum(powers[:-1])])
     bounds = powers * init_err + gamma * partial_sums * atn_norm
     limit = gamma / (1.0 - rate) * atn_norm
-    return Theorem1Bound(rate=rate, guaranteed=True, bounds=bounds, limit=limit)
-
-
-def theorem2_combine(beta_perp: float, L: float) -> float:
-    """Lipschitz constant of a projection deviating from the orthogonal one
-    by at most L times the projection distance: beta_perp + L."""
-    if beta_perp < 0 or L < 0:
-        raise ValueError("beta_perp and L must be >= 0")
-    return beta_perp + L
+    return Theorem1Bound(bounds=bounds, limit=limit)
 
 
 def theorem3_bound(big_psi: float, big_phi: float) -> float | None:

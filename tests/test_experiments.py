@@ -396,10 +396,20 @@ def test_verify_theorems_report(tmp_path):
     vcfg = VerifyConfig(nseeds=3, nsamples=500, seed=0)
     report = verify_theorems(vcfg, out_dir=str(tmp_path / "v"))
     assert report.all_passed
-    names = {e.name for e in report.entries}
-    assert "theorem1-domination-conditioned" in names
-    assert "theorem2-triangle-chain" in names
-    assert (tmp_path / "v" / "theorem_report.csv").exists()
+    # the benchmark's verify check counts these entries, in this order
+    names = [
+        "theorem1-domination-gaussian",
+        "theorem1-domination-conditioned",
+        "theorem1-noisy-stability-conditioned",
+        "theorem2-triangle-chain",
+        "theorem3-lprime-bound-t0.05",
+        "theorem3-lprime-bound-t0.1",
+        "theorem3-lprime-bound-t0.2",
+        "orthogonality-exact-projector",
+    ]
+    assert [e.name for e in report.entries] == names
+    rows = (tmp_path / "v" / "theorem_report.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 2)[:2] for row in rows] == [[name, "1"] for name in names]
 
 
 def test_verify_theorems_builds_each_instance_once(monkeypatch):
@@ -631,10 +641,16 @@ def test_cli_solve_and_report(tmp_path, capsys):
     cfg_path.write_text(config_to_text(cfg))
     rc = cli.main(["solve", "--config", str(cfg_path)])
     assert rc == 0
+    solved = capsys.readouterr().out.splitlines()
     rc = cli.main(["report", str(cfg.out_dir)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "mean_psnr" in out or "lambda" in out
+    reported = capsys.readouterr().out.splitlines()
+    # solve prints its config hash line, then the table that report prints
+    # for the same out_dir
+    assert solved[0].startswith("config hash ")
+    assert reported[0].split() == ["lambda", "cells", "mean_psnr", "std_psnr",
+                                   "median_conv", "never"]
+    assert len(reported) == 2 and solved[1:] == reported
 
 
 def test_load_config_dataset_idx_and_csv(tmp_path):

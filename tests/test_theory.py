@@ -28,7 +28,6 @@ from gpgd.theory import (
     ric_exact_ksparse,
     ric_sampled,
     theorem1_bound,
-    theorem2_combine,
     theorem3_bound,
 )
 
@@ -355,13 +354,6 @@ def test_ric_sampled_below_exact():
     assert sampled.value <= exact.value + 1e-12
 
 
-def test_ric_sampled_series_monotone():
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((8, 16))
-    est = ric_sampled(A, 0.01, KSparse(2, 16), 500, seed=2)
-    assert np.all(np.diff(est.series) >= 0.0)
-
-
 @pytest.mark.parametrize("nsamples", [0, -5])
 @pytest.mark.parametrize("estimate", [
     lambda n: ric_sampled(np.eye(4), 0.5, KSparse(1, 4), n, seed=0),
@@ -445,24 +437,6 @@ def test_lipschitz_union_of_lines_below_two():
     model = random_lines(5, 8, seed=14)
     est = restricted_lipschitz_sampled(ExactProjector(model), model, 20_000, seed=5)
     assert est.value <= 2.0 + 1e-9
-
-
-def test_lipschitz_witness_reproduces_value():
-    model = KSparse(2, 10)
-    est = restricted_lipschitz_sampled(
-        lambda z: hard_threshold(z, 2), model, 2000, seed=6
-    )
-    z, x = est.witness
-    ratio = np.linalg.norm(hard_threshold(z, 2) - x) / np.linalg.norm(z - x)
-    assert ratio == pytest.approx(est.value, abs=1e-12)
-
-
-def test_lipschitz_series_monotone():
-    model = KSparse(1, 6)
-    est = restricted_lipschitz_sampled(
-        lambda z: hard_threshold(z, 1), model, 800, seed=7
-    )
-    assert np.all(np.diff(est.series) >= 0.0)
 
 
 # --- orthogonality report ---------------------------------------------------
@@ -615,16 +589,16 @@ def _block_pairs(nsamples, draw_first, draw_second):
 def _ric_reference(A, gamma, model, nsamples, seed):
     m_op = np.eye(A.shape[1]) - gamma * (A.T @ A)
     rng = np.random.default_rng(seed)
-    series = np.zeros(nsamples)
-    best = 0.0
+    best, skipped = 0.0, 0
     draw = lambda count: sample_member(model, rng, count)
-    for i, (x1, x2) in enumerate(_block_pairs(nsamples, draw, draw)):
+    for x1, x2 in _block_pairs(nsamples, draw, draw):
         diff = x1 - x2
         norm = np.linalg.norm(diff)
         if norm > 1e-12:
             best = max(best, float(np.linalg.norm(m_op @ diff) / norm))
-        series[i] = best
-    return best, series
+        else:
+            skipped += 1
+    return best, skipped
 
 
 @pytest.mark.parametrize("model", [KSparse(2, 16), random_lines(5, 16, seed=70)])
@@ -632,27 +606,25 @@ def _ric_reference(A, gamma, model, nsamples, seed):
 def test_ric_sampled_matches_per_sample_loop(model, gamma):
     A = np.random.default_rng(71).standard_normal((8, 16))
     est = ric_sampled(A, gamma, model, NSAMPLES, seed=72)
-    value, series = _ric_reference(A, gamma, model, NSAMPLES, 72)
-    assert est.value == value and np.array_equal(est.series, series)
-    assert est.degenerate == 0 and value > 0.0
+    value, skipped = _ric_reference(A, gamma, model, NSAMPLES, 72)
+    assert est.value == value > 0.0
+    assert est.degenerate == skipped == 0
 
 
 def _lipschitz_reference(P, model, nsamples, seed, sampler):
     rng = np.random.default_rng(seed)
-    best, witness, skipped = 0.0, None, 0
-    series = np.zeros(nsamples)
+    best, skipped = 0.0, 0
     pairs = _block_pairs(nsamples, lambda count: sampler(rng, count, model.n),
                          lambda count: sample_member(model, rng, count))
-    for i, (z, x) in enumerate(pairs):
+    for z, x in pairs:
         dz = np.linalg.norm(z - x)
         if dz > 1e-12:
             ratio = float(np.linalg.norm(P(z) - x) / dz)
-            if ratio > best:
-                best, witness = ratio, (z.copy(), x.copy())
+            if ratio > best:  # False for a NaN ratio
+                best = ratio
         else:
             skipped += 1
-        series[i] = best
-    return best, series, witness, skipped
+    return best, skipped
 
 
 def _radial_or_next_member(model):
@@ -690,7 +662,8 @@ _LIPSCHITZ_CASES = {
                  _radial_or_next_member),
     "nan-all": (lambda z: np.full(np.shape(z), np.nan), _SPARSE, None),
     "lines": (ExactProjector(_LINES), _LINES, None),
-    # every ratio is exactly 1: the witness is the first sample
+    # every ratio is exactly 1: the first sample sets the maximum and no
+    # later sample moves it
     "ties": (lambda z: z, _LINES,
              lambda model: lambda rng, count, n: sample_member(model, rng, count)),
 }
@@ -703,15 +676,12 @@ def test_lipschitz_matches_per_sample_loop(case):
                 for _ in range(2)]
     est = restricted_lipschitz_sampled(P, model, NSAMPLES, seed=74,
                                        z_sampler=samplers[0])
-    value, series, witness, skipped = _lipschitz_reference(
-        P, model, NSAMPLES, 74, samplers[1])
-    assert est.value == value and np.array_equal(est.series, series)
+    value, skipped = _lipschitz_reference(P, model, NSAMPLES, 74, samplers[1])
+    assert est.value == value
     assert est.degenerate == skipped
     assert (skipped > 0) == (make_sampler is _radial_or_next_member)
-    if witness is None:
-        assert est.witness is None and case == "nan-all"
-    else:
-        assert all(np.array_equal(a, b) for a, b in zip(est.witness, witness))
+    if case == "nan-all":  # no NaN ratio ever raises the maximum
+        assert value == 0.0
     if case == "ties":
         assert value == 1.0
 
@@ -817,7 +787,7 @@ def test_report_calls_P_once_per_block_on_its_off_set_rows():
 
 def test_theorem1_geometric_decay():
     b = theorem1_bound(0.5, 1.0, 1.0, init_err=1.0, atn_norm=0.0, iters=4)
-    assert b.guaranteed
+    assert b.bounds is not None
     assert np.allclose(b.bounds, [1.0, 0.5, 0.25, 0.125, 0.0625])
     assert b.limit == pytest.approx(0.0, abs=1e-15)
 
@@ -834,19 +804,12 @@ def test_theorem1_limit_term():
 
 def test_theorem1_no_guarantee():
     b = theorem1_bound(0.9, 1.2, 1.0, 1.0, 0.0, 10)
-    assert not b.guaranteed
     assert b.bounds is None and b.limit is None
 
 
 def test_theorem1_rejects_negative():
     with pytest.raises(ValueError):
         theorem1_bound(-0.1, 1.0, 1.0, 1.0, 0.0, 5)
-
-
-def test_theorem2_combine():
-    assert theorem2_combine(2.0, 0.0) == 2.0
-    assert theorem2_combine(1.618, 0.1) == pytest.approx(1.718, abs=1e-12)
-    assert theorem2_combine(0.0, 0.0) == 0.0
 
 
 def test_theorem3_examples():
