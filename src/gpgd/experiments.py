@@ -615,7 +615,7 @@ def _theorem1_instances(vcfg: VerifyConfig, make_instance) -> list[tuple]:
         gamma = default_step_size(A)
         delta = theory.ric_exact_ksparse(A, gamma, vcfg.k, beta=_GOLDEN_BETA).value
         if delta * _GOLDEN_BETA < 1.0:
-            x_true = sample_member(KSparse(vcfg.k, vcfg.n), rng)
+            x_true = sample_member(KSparse(vcfg.k, vcfg.n), rng, 1)[0]
             instances.append((seed, A, gamma, delta, x_true, rng))
     return instances
 
@@ -832,7 +832,9 @@ def estimate_constants(vcfg: VerifyConfig) -> list[tuple[str, str, str]]:
 
 
 def aggregate_report(results_dir) -> tuple[str, list[dict]]:
-    """Merge results.csv files under a directory into a per-lambda summary.
+    """Merge results.csv files under a directory into a per-lambda summary,
+    lambdas in order of first appearance (config order, as gpgd solve
+    prints them).
 
     Raises ConfigError when input files disagree on their schema, the
     header lacks a lambda, psnr_best or conv_iter column, or a row has
@@ -878,7 +880,7 @@ def aggregate_report(results_dir) -> tuple[str, list[dict]]:
                           math.inf if r[i_conv] == "never" else float(r[i_conv])))
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: {exc}") from None
-    summary = _summarize(cells, sorted({lam for lam, _, _ in cells}))
+    summary = _summarize(cells, list(dict.fromkeys(lam for lam, _, _ in cells)))
     return _summary_table(summary), summary
 
 

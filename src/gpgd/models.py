@@ -79,6 +79,15 @@ def hard_threshold(z, k: int) -> np.ndarray:
     return np.where(keep, vec, 0.0)
 
 
+def _best_line(rows: np.ndarray, model: UnionOfLines):
+    """Per row of a stack (b, n): the coefficient (b, 1) along the line
+    that maximizes the projected norm (ties to the lowest index), and
+    that line's direction (b, n)."""
+    coeffs = np.matmul(rows[:, None, :], model._directions_t)[:, 0]
+    best = np.argmax(np.abs(coeffs), axis=-1)
+    return coeffs[np.arange(len(rows)), best][:, None], model.directions[best]
+
+
 def project_union(z, model) -> np.ndarray:
     """Orthogonal projection onto a union of lines.
 
@@ -90,11 +99,8 @@ def project_union(z, model) -> np.ndarray:
     if not isinstance(model, UnionOfLines):
         raise ModelSetError(f"project_union does not support {type(model).__name__}")
     vec = as_rows(z)
-    rows = vec.reshape(-1, vec.shape[-1])
-    coeffs = np.matmul(rows[:, None, :], model._directions_t)[:, 0]
-    best = np.argmax(np.abs(coeffs), axis=-1)
-    out = coeffs[np.arange(len(rows)), best][:, None] * model.directions[best]
-    return out.reshape(vec.shape)
+    c, line = _best_line(vec.reshape(-1, vec.shape[-1]), model)
+    return (c * line).reshape(vec.shape)
 
 
 def project(model, z) -> np.ndarray:
@@ -112,10 +118,9 @@ def on_model_set(z: np.ndarray, pz: np.ndarray):
     return bool(inside) if np.ndim(z) == 1 else inside
 
 
-def sample_member(model, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw random elements of the model set (Gaussian coefficients): a
-    block (size, n), one element per row, or one element (n,) when size is
-    None, which is row 0 of the block of 1.
+def sample_member(model, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw a block (size, n) of random elements of the model set
+    (Gaussian coefficients), one element per row.
 
     A block takes a fixed number of generator calls, in this order:
     KSparse, a (size, n) uniform key block whose k smallest keys per row
@@ -123,18 +128,17 @@ def sample_member(model, rng: np.random.Generator, size: int | None = None) -> n
     values; UnionOfLines, one line index per row, then one coefficient per
     row.
     """
-    rows = 1 if size is None else size
     if isinstance(model, KSparse):
-        keys = rng.random((rows, model.n))
+        keys = rng.random((size, model.n))
         support = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
-        out = np.zeros((rows, model.n))
-        out[np.arange(rows)[:, None], support] = rng.standard_normal((rows, model.k))
+        out = np.zeros((size, model.n))
+        out[np.arange(size)[:, None], support] = rng.standard_normal((size, model.k))
     elif isinstance(model, UnionOfLines):
-        pick = rng.integers(model.directions.shape[0], size=rows)
-        out = rng.standard_normal(rows)[:, None] * model.directions[pick]
+        pick = rng.integers(model.directions.shape[0], size=size)
+        out = rng.standard_normal(size)[:, None] * model.directions[pick]
     else:
         raise ModelSetError(f"cannot sample from {type(model).__name__}")
-    return out[0] if size is None else out
+    return out
 
 
 def random_lines(count: int, n: int, seed: int) -> UnionOfLines:
@@ -176,13 +180,9 @@ class PerturbedProjector:
     def __call__(self, z) -> np.ndarray:
         vec = as_rows(z)
         rows = vec.reshape(-1, vec.shape[-1])
-        dirs = self.model.directions
-        # row-by-row matmul: the bits of directions @ row for every row
-        coeffs = np.matmul(dirs, rows[:, :, None])[..., 0]
-        best = np.argmax(np.abs(coeffs), axis=1)
-        c = coeffs[np.arange(len(rows)), best][:, None]
-        exact = c * dirs[best]
+        c, line = _best_line(rows, self.model)
+        exact = c * line
         on_set = on_model_set(rows, exact)
-        out = (1.0 + self.t) * c * dirs[best]
+        out = (1.0 + self.t) * c * line
         out[on_set] = exact[on_set]
         return out.reshape(vec.shape)

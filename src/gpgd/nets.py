@@ -150,10 +150,11 @@ class DenseNet:
     The parameters live in one contiguous float64 vector, `params`, in
     checkpoint order; each layer's weight and bias are views into it, so
     writes through either show in the other. The constructor copies the
-    values of the layers it is given and never aliases them.
+    values of the layers it is given and never aliases them, so
+    DenseNet(net.layers) is a copy of net.
     """
 
-    def __init__(self, layers, latent_index: int | None = None):
+    def __init__(self, layers):
         layers = list(layers)
         if not layers:
             raise ValueError("network needs at least one layer")
@@ -162,8 +163,6 @@ class DenseNet:
                 raise ValueError("layer dimensions do not chain")
         if layers[-1].weight.shape[0] != layers[0].weight.shape[1]:
             raise ValueError("projector nets need output width == input width")
-        if latent_index is not None and not 0 <= latent_index < len(layers):
-            raise ValueError(f"latent_index {latent_index} out of range")
         dims = [layers[0].weight.shape[1]] + [l.weight.shape[0] for l in layers]
         self.params = np.empty(_param_count(dims))
         self.layers = []
@@ -171,7 +170,6 @@ class DenseNet:
             weight[...] = layer.weight
             bias[...] = layer.bias
             self.layers.append(DenseLayer(weight, bias, layer.activation))
-        self.latent_index = latent_index
         # Training scratch, made on first use: the arena, a flat block that
         # holds the gradient at its start and, after it, the buffers of one
         # _Workspace per stacked row count, every row count at the same
@@ -199,9 +197,6 @@ class DenseNet:
             raise ValueError(f"vector shape {vec.shape}, expected {self.params.shape}")
         return _split(vec, self.dims)
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(self.layers, self.latent_index)
-
 
 class NetProjector:
     """Use a trained network as the projection inside the solver; like
@@ -220,10 +215,7 @@ def autoencoder_dims(n: int) -> tuple[int, ...]:
 
 
 def make_net(dims, seed: int) -> DenseNet:
-    """He-initialized dense net; leaky-ReLU hidden layers, identity output.
-
-    latent_index is the layer producing the narrowest width.
-    """
+    """He-initialized dense net; leaky-ReLU hidden layers, identity output."""
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least one layer")
@@ -238,7 +230,7 @@ def make_net(dims, seed: int) -> DenseNet:
         # parameter vector below, so no full-size temporary is made
         layers.append(DenseLayer(np.broadcast_to(0.0, (fan_out, fan_in)),
                                  np.zeros(fan_out), act))
-    net = DenseNet(layers, int(np.argmin(dims[1:])))
+    net = DenseNet(layers)
     rng = np.random.default_rng(seed)
     for fan_in, (weight, _) in zip(dims, net.layer_views(net.params)):
         rng.standard_normal(out=weight)
@@ -459,7 +451,7 @@ def _backprop(work: _Workspace, targets: np.ndarray, z_scale: float):
 class TrainConfig:
     """Training recipe: lam is the orthogonality-penalty weight, tau the
     Adam learning rate, xi the input-noise deviation for denoiser (PnP)
-    training, adam the (beta1, beta2, eps) of Adam."""
+    training."""
 
     lam: float = 0.0
     tau: float = 1e-3
@@ -467,7 +459,6 @@ class TrainConfig:
     epochs: int = 100
     mode: str = "AE"  # "AE" | "PnP"
     xi: float = 0.1
-    adam: tuple[float, float, float] = (0.9, 0.999, 1e-8)
     seed: int = 0
 
     def __post_init__(self):
@@ -483,13 +474,6 @@ class TrainConfig:
             raise ValueError(f"mode must be AE or PnP, got {self.mode!r}")
         if self.mode == "PnP" and not self.xi > 0:
             raise ValueError("PnP mode requires xi > 0")
-        if len(self.adam) != 3:
-            raise ValueError(f"adam must be (beta1, beta2, eps), got {self.adam!r}")
-        beta1, beta2, eps = self.adam
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
-            raise ValueError(
-                f"adam needs 0 <= beta1, beta2 < 1 and eps > 0, got {self.adam!r}"
-            )
 
 
 class SorResult(NamedTuple):
@@ -568,6 +552,8 @@ def loss_and_grad(net: DenseNet, batch, z_batch, cfg: TrainConfig,
 # gradient, moments and scratch (256 KiB each) stay in L2 across its 13
 # passes, where whole vectors of a large net would stream from memory.
 _ADAM_BLOCK = 1 << 15
+# Adam's moment decay rates and denominator offset
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -588,11 +574,10 @@ def adam_state_for(net: DenseNet) -> AdamState:
     return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
-def adam_step(net: DenseNet, grads, state: AdamState, tau: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """Standard bias-corrected Adam update of the flat parameter vector
-    from a flat gradient, in place.
+def adam_step(net: DenseNet, grads, state: AdamState, tau: float):
+    """Standard bias-corrected Adam update (beta1 = 0.9, beta2 = 0.999,
+    eps = 1e-8) of the flat parameter vector from a flat gradient, in
+    place.
 
     The update runs block by block over _ADAM_BLOCK elements. Every op is
     elementwise, so the bits do not depend on the block size."""
@@ -601,22 +586,22 @@ def adam_step(net: DenseNet, grads, state: AdamState, tau: float,
     if g.shape != params.shape:
         raise ValueError(f"gradient shape {g.shape}, expected {params.shape}")
     state.step += 1
-    c1 = 1.0 - beta1**state.step
-    c2 = 1.0 - beta2**state.step
+    c1 = 1.0 - _BETA1**state.step
+    c2 = 1.0 - _BETA2**state.step
     for start in range(0, params.size, _ADAM_BLOCK):
         end = start + _ADAM_BLOCK
         gb, m, v = g[start:end], state.m[start:end], state.v[start:end]
         tmp = state.scratch[: gb.size]
-        m *= beta1
-        m += np.multiply(gb, 1.0 - beta1, out=tmp)
-        v *= beta2
+        m *= _BETA1
+        m += np.multiply(gb, 1.0 - _BETA1, out=tmp)
+        v *= _BETA2
         np.multiply(gb, gb, out=tmp)
-        tmp *= 1.0 - beta2
+        tmp *= 1.0 - _BETA2
         v += tmp
         # params -= (tau / c1) m / (sqrt(v / c2) + eps)
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += eps
+        tmp += _EPS
         np.divide(m, tmp, out=tmp)
         tmp *= tau / c1
         params[start:end] -= tmp
@@ -688,7 +673,7 @@ def train(net: DenseNet, dataset, cfg: TrainConfig):
                         _, grads = loss_and_grad(net, xb, zb, cfg, noise_seed)
                     except NonFiniteLoss as exc:
                         raise TrainingDiverged(epoch, step, exc) from exc
-                    adam_step(net, grads, state, cfg.tau, *cfg.adam)
+                    adam_step(net, grads, state, cfg.tau)
             resid, _ = forward_batch(net, items, scratch=arena)
             resid -= items
             data_loss = float(np.vdot(resid, resid)) / resid.size
@@ -725,7 +710,6 @@ def save_checkpoint(net: DenseNet, path, train_key: str | None = None) -> None:
             {"kind": l.activation.kind, "slope": l.activation.slope}
             for l in net.layers
         ],
-        "latent_index": net.latent_index,
     }
     if train_key is not None:
         header["train_key"] = train_key
@@ -771,7 +755,6 @@ def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
     try:
         dims = [int(d) for d in header["dims"]]
         act_specs = header["activations"]
-        latent_index = header["latent_index"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad header fields: {exc}", offset=0) from None
     if len(dims) < 2 or len(act_specs) != len(dims) - 1:
@@ -790,6 +773,6 @@ def load_checkpoint(path, train_key: str | None = None) -> DenseNet:
             DenseLayer(w, b, Activation(spec["kind"], float(spec.get("slope", 0.0))))
             for (w, b), spec in zip(_split(params, dims), act_specs)
         ]
-        return DenseNet(layers, latent_index)
+        return DenseNet(layers)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad layer specification: {exc!r}", offset=0) from None

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "SignalError",
     "NoiseSpec",
-    "as_vector",
     "as_rows",
     "row_norms",
     "add_noise",
@@ -29,18 +28,10 @@ class SignalError(ValueError):
     """Malformed signal content or mismatched signal dimensions."""
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce an array-like to a 1-D float64 vector."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1:
-        vec = vec.reshape(-1)
-    return vec
-
-
 def as_rows(x) -> np.ndarray:
     """Coerce an array-like to float64 signals on the last axis:
-    one signal (n,) or a stack of signals (b, n), one per row. Unlike
-    as_vector, a 2-D input is kept as a stack; more axes are an error."""
+    one signal (n,) or a stack of signals (b, n), one per row; more axes
+    are an error."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1 or arr.ndim == 2:
         return arr
@@ -91,7 +82,7 @@ def psnr(x, ref):
     psnr(x[i], ref) bit for bit). The value is math.inf where a signal
     matches the reference exactly (MSE = 0).
     """
-    rv = as_vector(ref)
+    rv = np.asarray(ref, dtype=np.float64).reshape(-1)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 2:
         xs = xs.reshape(-1)

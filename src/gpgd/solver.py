@@ -2,12 +2,12 @@
 
 The update is x_{k+1} = P(x_k) - gamma * A^T (A P(x_k) - y). Runs execute
 the full iteration budget (no early stopping) and record the initial point
-as iterate 0, matching the convention that a convergence iteration of 0
-means the initial guess was already good enough. One run solves one
-measurement vector or a stack of them, one per row, as one batch: A and P
-see the whole stack at every iteration. Each row's iterates are kept as
-one stack, from which its error and PSNR records are derived after the
-loop.
+x_0 = A^T y as iterate 0, matching the convention that a convergence
+iteration of 0 means the initial guess was already good enough. One run
+solves one measurement vector or a stack of them, one per row, as one
+batch: A and P see the whole stack at every iteration. Each row's
+iterates are kept as one stack, from which its error and PSNR records
+are derived after the loop.
 """
 
 from __future__ import annotations
@@ -52,16 +52,16 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class GpgdConfig:
-    """Solver settings. gamma=None selects 1/||A||_2^2 at run time; x0=None
-    starts from A^T y. A run always executes all max_iters updates: the
-    standard protocol picks the best iterate afterwards."""
+    """Solver settings: the step size gamma (default_step_size(A) gives
+    1/||A||_2^2) and the iteration budget. A run starts from A^T y and
+    always executes all max_iters updates: the standard protocol picks
+    the best iterate afterwards."""
 
-    gamma: float | None = None
+    gamma: float
     max_iters: int = 150
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -80,7 +80,6 @@ class GpgdTrace:
     used to form x_{i+1} (length max_iters).
     """
 
-    gamma: float
     residual: np.ndarray
     iterates: list[np.ndarray]
     err: np.ndarray | None = None
@@ -103,10 +102,9 @@ class GpgdTrace:
         def pick(a):
             return None if a is None else a[r][None]
 
-        return GpgdTrace(gamma=self.gamma, residual=pick(self.residual),
-                         iterates=[self.iterates[r]], err=pick(self.err),
-                         rel_err=pick(self.rel_err), psnr_db=pick(self.psnr_db),
-                         proj_err=pick(self.proj_err))
+        return GpgdTrace(residual=pick(self.residual), iterates=[self.iterates[r]],
+                         err=pick(self.err), rel_err=pick(self.rel_err),
+                         psnr_db=pick(self.psnr_db), proj_err=pick(self.proj_err))
 
 
 def default_step_size(A: LinearOperator) -> float:
@@ -149,26 +147,21 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
     vector. P is called once per iteration with the iterate in y's shape:
     for one vector any callable R^n -> R^n works (exact projection,
     perturbed projection, or a trained network); for a stack, P must map
-    each row (exact projections and network projectors do). ground_truth
-    and cfg.x0 are one vector, shared by every row, or one row per
+    each row (exact projections and network projectors do). The start is
+    A^T y. ground_truth is one vector, shared by every row, or one row per
     measurement. Row r of a stack run equals the one-vector run on y[r]
     whenever A and P give a stack's rows the same bits as single vectors.
     Deterministic whenever P is. The returned final iterate is a fresh
     array in y's shape, not a view of the trace.
     """
     yv = as_rows(y)
-    gamma = cfg.gamma if cfg.gamma is not None else default_step_size(A)
-    shape = yv.shape[:-1] + (A.n,)
-    if cfg.x0 is None:
-        x = A.adjoint(yv)
-    else:
-        x = np.broadcast_to(as_rows(cfg.x0), shape).copy()
+    x = A.adjoint(yv)
     # Each row has an iterate stack of its own: once freed, one block as
     # large as a whole batch's iterates makes the C allocator raise its
     # mmap and trim thresholds and keep that much freed heap resident.
     b = len(x) if x.ndim == 2 else 1
     truth = None if ground_truth is None else np.broadcast_to(
-        as_rows(ground_truth), shape).reshape(b, A.n)
+        as_rows(ground_truth), x.shape).reshape(b, A.n)
     stacks = [np.empty((cfg.max_iters + 1, A.n)) for _ in range(b)]
     residual = np.empty((b, cfg.max_iters + 1))
     proj_err = None if truth is None else np.empty((b, cfg.max_iters))
@@ -180,7 +173,7 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
                 p = as_rows(P(x))
                 if truth is not None:
                     proj_err[:, i - 1] = row_norms(p.reshape(b, A.n) - truth)
-                x = p - gamma * A.adjoint(A.apply(p) - yv)
+                x = p - cfg.gamma * A.adjoint(A.apply(p) - yv)
                 finite = np.isfinite(x).reshape(b, A.n)
                 if not finite.all():
                     row = int(np.argmin(finite.all(axis=1)))
@@ -191,7 +184,7 @@ def gpgd_run(A: LinearOperator, y, P, cfg: GpgdConfig,
                 stack[i] = xr
             residual[:, i] = row_norms(A.apply(x) - yv)
 
-    trace = GpgdTrace(gamma=gamma, residual=residual, iterates=stacks)
+    trace = GpgdTrace(residual=residual, iterates=stacks)
     if truth is not None:
         err = np.empty(residual.shape)
         db = np.empty(residual.shape)

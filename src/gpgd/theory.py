@@ -485,17 +485,15 @@ def orthogonality_report(model, P, nsamples: int, seed: int,
 
 @dataclass
 class Theorem1Bound:
-    """Linear-recovery error bound sequence; bounds and limit are None ("no
+    """Linear-recovery error bound sequence; bounds is None ("no
     guarantee") when the rate delta * beta is at least 1.
 
-    bounds[i] = rate^i * init_err + gamma * (sum_{j<i} rate^j) * atn_norm,
-    limit = gamma / (1 - rate) * atn_norm. delta already includes the step
-    size (RIC of gamma A^T A), so only the noise term carries an explicit
-    gamma factor.
+    bounds[i] = rate^i * init_err + gamma * (sum_{j<i} rate^j) * atn_norm.
+    delta already includes the step size (RIC of gamma A^T A), so only the
+    noise term carries an explicit gamma factor.
     """
 
     bounds: np.ndarray | None
-    limit: float | None
 
 
 def theorem1_bound(delta: float, beta: float, gamma: float, init_err: float,
@@ -507,12 +505,11 @@ def theorem1_bound(delta: float, beta: float, gamma: float, init_err: float,
             raise ValueError(f"{name} must be >= 0, got {v}")
     rate = delta * beta
     if rate >= 1.0:
-        return Theorem1Bound(bounds=None, limit=None)
+        return Theorem1Bound(bounds=None)
     powers = rate ** np.arange(iters + 1)
     partial_sums = np.concatenate([[0.0], np.cumsum(powers[:-1])])
     bounds = powers * init_err + gamma * partial_sums * atn_norm
-    limit = gamma / (1.0 - rate) * atn_norm
-    return Theorem1Bound(bounds=bounds, limit=limit)
+    return Theorem1Bound(bounds=bounds)
 
 
 def theorem3_bound(big_psi: float, big_phi: float) -> float | None:

@@ -168,7 +168,7 @@ def test_identity_operator_fixed_point_item():
     x_true[2] = 1.0
     A = DenseOperator(np.eye(8))
     proj = ExactProjector(KSparse(1, 8))
-    cfg = GpgdConfig(gamma=1.0, max_iters=10, x0=x_true)
+    cfg = GpgdConfig(gamma=1.0, max_iters=10)
     _, trace = gpgd_run(A, x_true, proj, cfg, ground_truth=x_true)
     idx, x_star = best_iterate(trace)
     assert idx.tolist() == [0]
@@ -634,8 +634,10 @@ def test_cli_verify_theorems_passes(tmp_path):
     assert rc == 0
 
 
-def test_cli_solve_and_report(tmp_path, capsys):
-    cfg = small_config(tmp_path, lambdas=(0.0,), test_count=2, dataset_count=20,
+def _solve_then_report(tmp_path, capsys, lambdas):
+    """stdout lines of gpgd solve, then of gpgd report on its out_dir, for
+    a test-size config."""
+    cfg = small_config(tmp_path, lambdas=lambdas, test_count=2, dataset_count=20,
                        train_epochs=10)
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(config_to_text(cfg))
@@ -644,13 +646,25 @@ def test_cli_solve_and_report(tmp_path, capsys):
     solved = capsys.readouterr().out.splitlines()
     rc = cli.main(["report", str(cfg.out_dir)])
     assert rc == 0
-    reported = capsys.readouterr().out.splitlines()
+    return solved, capsys.readouterr().out.splitlines()
+
+
+def test_cli_solve_and_report(tmp_path, capsys):
+    solved, reported = _solve_then_report(tmp_path, capsys, (0.0,))
     # solve prints its config hash line, then the table that report prints
     # for the same out_dir
     assert solved[0].startswith("config hash ")
     assert reported[0].split() == ["lambda", "cells", "mean_psnr", "std_psnr",
                                    "median_conv", "never"]
     assert len(reported) == 2 and solved[1:] == reported
+
+
+def test_cli_report_orders_lambdas_as_solve(tmp_path, capsys):
+    # lambdas that are not ascending: both commands list them in config
+    # order, as summary.csv does
+    solved, reported = _solve_then_report(tmp_path, capsys, (0.4, 0.0))
+    assert [line.split()[0] for line in reported[1:]] == ["0.4", "0"]
+    assert solved[1:] == reported
 
 
 def test_load_config_dataset_idx_and_csv(tmp_path):

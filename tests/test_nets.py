@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -113,7 +114,6 @@ def test_make_net_draws_he_weights_layer_by_layer():
         assert np.array_equal(layer.weight, expected)
         assert np.array_equal(layer.bias, np.zeros(fan_out))
     assert [l.activation.kind for l in net.layers] == ["leaky_relu"] * 2 + ["identity"]
-    assert net.latent_index == 1
 
 
 def test_forward_output_does_not_view_the_arena():
@@ -172,7 +172,7 @@ def test_net_copies_the_layers_it_is_given():
 
 def test_copy_gets_its_own_buffer():
     net = make_net((4, 3, 4), seed=32)
-    twin = net.copy()
+    twin = DenseNet(net.layers)
     assert not np.shares_memory(twin.params, net.params)
     assert np.array_equal(twin.params, net.params)
     twin.params += 1.0
@@ -571,6 +571,7 @@ def _adam_reference(params, g, m, v, step, tau, beta1, beta2, eps):
 
 
 def test_adam_blocks_match_whole_vector_update_bit_for_bit():
+    # at Adam's fixed (beta1, beta2, eps) = (0.9, 0.999, 1e-8)
     from gpgd.nets import _ADAM_BLOCK
 
     net = make_net((256, 128, 256), seed=47)
@@ -580,11 +581,10 @@ def test_adam_blocks_match_whole_vector_update_bit_for_bit():
     assert state.scratch.size <= _ADAM_BLOCK
     params, m, v = net.params.copy(), np.zeros(size), np.zeros(size)
     rng = np.random.default_rng(48)
-    adam = (0.8, 0.99, 1e-6)
     for step in range(1, 5):
         g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 2, size)
-        adam_step(net, g, state, 3e-3, *adam)
-        _adam_reference(params, g, m, v, step, 3e-3, *adam)
+        adam_step(net, g, state, 3e-3)
+        _adam_reference(params, g, m, v, step, 3e-3, 0.9, 0.999, 1e-8)
         assert state.step == step
         for got, want in ((net.params, params), (state.m, m), (state.v, v)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -637,7 +637,7 @@ def test_train_replay_oracle():
                 idx = perm[start : start + 2]
                 zb = z_rng.uniform(size=(idx.size, 3))
                 _, grads = loss_and_grad(replica, data[idx], zb, cfg, 0)
-                adam_step(replica, grads, state, cfg.tau, *cfg.adam)
+                adam_step(replica, grads, state, cfg.tau)
         assert np.array_equal(trained.params, replica.params), count
 
 
@@ -663,7 +663,7 @@ def test_train_lambda_zero_matches_replay_that_draws_z(mode):
             zb = z_rng.uniform(size=(idx.size, 4))
             noise_seed = int(noise_rng.integers(2**63)) if mode == "PnP" else 0
             _, grads = loss_and_grad(replica, data[idx], zb, cfg, noise_seed)
-            adam_step(replica, grads, state, cfg.tau, *cfg.adam)
+            adam_step(replica, grads, state, cfg.tau)
     assert np.array_equal(trained.params, replica.params)
 
 
@@ -751,12 +751,13 @@ def test_workspaces_sharing_the_arena_match_fresh_nets(mode, lam):
     rng = np.random.default_rng(43)
     net = make_net((6, 5, 3, 5, 6), seed=44)
     cfg = TrainConfig(lam=lam, mode=mode, xi=0.1)
-    shared = net.copy()
+    shared = DenseNet(net.layers)
     for rows in (7, 3, 7, 9):
         X = rng.uniform(0, 1, (rows, 6))
         Z = rng.uniform(0, 1, (rows, 6))
         loss, grad = loss_and_grad(shared, X, Z, cfg, noise_seed=rows)
-        fresh_loss, fresh_grad = loss_and_grad(net.copy(), X, Z, cfg, noise_seed=rows)
+        fresh_loss, fresh_grad = loss_and_grad(DenseNet(net.layers), X, Z, cfg,
+                                               noise_seed=rows)
         assert loss == fresh_loss and np.array_equal(grad, fresh_grad), rows
         if rows == 3:
             small, large = (shared._workspaces[r, r if lam else 0] for r in (3, 7))
@@ -815,11 +816,11 @@ def test_train_rejects_nan_data_before_any_step():
     "kwargs",
     [
         {"epochs": -3},
-        {"adam": (1.5, 0.999, 1e-8)},
-        {"adam": (-0.1, 0.999, 1e-8)},
-        {"adam": (0.9, 1.0, 1e-8)},
-        {"adam": (0.9, 0.999, 0.0)},
-        {"adam": (0.9, 0.999)},
+        {"batch_size": 0},
+        {"lam": -0.1},
+        {"tau": 0.0},
+        {"mode": "GAN"},
+        {"mode": "PnP", "xi": 0.0},
         {"lam": float("nan")},
         {"tau": float("nan")},
         {"mode": "PnP", "xi": float("nan")},
@@ -920,7 +921,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(net, path)
     back = load_checkpoint(path)
     assert back.dims == net.dims
-    assert back.latent_index == net.latent_index
     assert np.array_equal(back.params, net.params)
     for a, b in zip(back.layers, net.layers):
         assert a.activation == b.activation
@@ -934,6 +934,26 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     raw = first.read_bytes()
     assert second.read_bytes() == raw
     assert raw.partition(b"\n")[2] == net.params.astype("<f8").tobytes()
+
+
+def test_checkpoint_header_keys(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(make_net((4, 3, 4), seed=45), path, train_key="k")
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert list(header) == ["format_version", "dims", "activations", "train_key"]
+
+
+def test_checkpoint_with_a_latent_index_loads(tmp_path):
+    # headers written by 0.21.0 and earlier also carry "latent_index"
+    net = make_net((4, 3, 4), seed=46)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path, train_key="k")
+    header, _, blob = path.read_bytes().partition(b"\n")
+    old = header.replace(b',"train_key"', b',"latent_index":1,"train_key"')
+    assert old != header
+    path.write_bytes(old + b"\n" + blob)
+    back = load_checkpoint(path)
+    assert back.dims == net.dims and np.array_equal(back.params, net.params)
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -971,7 +991,6 @@ def test_checkpoint_missing_header(tmp_path):
     [
         (b'"kind":"leaky_relu"', b'"kindx":"leaky_relu"'),  # missing key
         (b'"slope":0.01', b'"slope":1.5'),  # slope outside [0, 1]
-        (b'"latent_index":0', b'"latent_index":7'),  # no such layer
     ],
 )
 def test_checkpoint_bad_layer_specification(tmp_path, old, new):

@@ -119,3 +119,40 @@ def test_no_private_helper_is_dead():
             if not any(name in _read_names(other, node) for other in trees.values()):
                 dead.append(f"gpgd/{filename}: {name}")
     assert not dead, f"private names defined and never read: {dead}"
+
+
+# Parameter defaults plus non-ClassVar dataclass fields in gpgd.
+SETTABLE_VALUES = 107
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree: ast.Module) -> int:
+    """Parameter defaults of every function and lambda, plus the fields of
+    every dataclass, ClassVar annotations excluded."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and "ClassVar" not in ast.unparse(stmt.annotation)
+                         for stmt in node.body)
+    return count
+
+
+def test_settable_value_count():
+    """The package's settable values (every value a caller may set or
+    leave at a default) number SETTABLE_VALUES. A change that adds or
+    removes a setting changes that constant in the same diff, so the
+    count shows in review."""
+    total = sum(_settable_values(ast.parse(path.read_text()))
+                for path in sorted(PACKAGE_DIR.glob("*.py")))
+    assert total == SETTABLE_VALUES

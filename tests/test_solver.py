@@ -38,22 +38,19 @@ def conditioned_square(n=32, seed=0, lo=0.85, hi=1.15):
     return DenseOperator(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T), rng
 
 
-def test_fixed_point_when_truth_in_model():
-    A, rng = conditioned_square(seed=1)
-    x_true = np.zeros(32)
-    x_true[[3, 17]] = rng.standard_normal(2)
-    y = A.apply(x_true)
-    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=20, x0=x_true)
-    proj = ExactProjector(KSparse(2, 32))
-    x, trace = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
-    assert np.max(trace.err) <= 1e-12
+@pytest.mark.parametrize("kwargs", [{"gamma": np.nan}, {"gamma": -0.1},
+                                    {"gamma": 1.0, "max_iters": 0}])
+def test_config_refuses_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        GpgdConfig(**kwargs)
 
 
 def test_gamma_zero_is_pure_projection():
+    # identity A: the start A^T y is y itself
     A = DenseOperator(np.eye(4))
     y = np.array([2.0, 1.0, 0.0, 0.0])
     proj = ExactProjector(KSparse(1, 4))
-    cfg = GpgdConfig(gamma=0.0, max_iters=5, x0=y)
+    cfg = GpgdConfig(gamma=0.0, max_iters=5)
     _, trace = gpgd_run(A, y, proj, cfg)
     # x_i = P(x_{i-1}); exact idempotent P makes it constant from i = 1
     expected = proj(y)
@@ -119,13 +116,13 @@ def test_noiseless_exactness_rate():
 def test_divergence_aborts_with_diagnostics():
     A = DenseOperator(np.eye(3))
     blow_up = lambda z: z * 1e160
-    # with gamma = 0.5 each update halves the blown-up projection, so the
-    # iterate overflows to inf on the second step
-    cfg = GpgdConfig(gamma=0.5, max_iters=10, x0=np.ones(3))
+    # identity A starts from y = ones; with gamma = 0.5 each update is
+    # (P(x) + y) / 2, so the iterate overflows to inf on the second step
+    cfg = GpgdConfig(gamma=0.5, max_iters=10)
     with pytest.raises(SolverDivergence) as exc:
-        gpgd_run(A, np.zeros(3), blow_up, cfg)
-    assert exc.value.iteration >= 1 and exc.value.row == 0
-    # the last finite iterate is (5e159, 5e159, 5e159), whose norm
+        gpgd_run(A, np.ones(3), blow_up, cfg)
+    assert exc.value.iteration == 2 and exc.value.row == 0
+    # the last finite iterate is 5e159 + 0.5 in every entry, whose norm
     # np.linalg.norm would overflow to inf
     assert exc.value.norm == pytest.approx(math.sqrt(3.0) * 5e159, rel=1e-12)
 
@@ -141,13 +138,13 @@ def test_default_x0_is_adjoint_of_y():
 
 def test_trace_records_match_per_iterate_recomputation():
     # every record derived from the iterate stack equals, bit for bit, the
-    # per-iterate formula; x0 = x_true makes row 0 an exact fit (PSNR inf)
+    # per-iterate formula; the start A^T y as ground truth makes iterate 0
+    # an exact fit (PSNR inf)
     A, rng = conditioned_square(seed=9)
-    x_true = np.zeros(32)
-    x_true[[4, 11]] = rng.standard_normal(2)
-    y = A.apply(x_true) + 0.05 * rng.standard_normal(32)
+    y = rng.standard_normal(32)
+    x_true = A.adjoint(y)
     proj = ExactProjector(KSparse(2, 32))
-    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=30, x0=x_true)
+    cfg = GpgdConfig(gamma=default_step_size(A), max_iters=30)
     x, trace = gpgd_run(A, y, proj, cfg, ground_truth=x_true)
     (its,) = trace.iterates
     assert its.shape == (31, 32) and len(trace) == 31
@@ -177,7 +174,7 @@ def _trace_with_rel_errors(x_star, rels):
     # iterates at prescribed relative distances from x_star
     direction = np.ones_like(x_star) / np.sqrt(x_star.size)
     its = np.array([x_star + r * np.linalg.norm(x_star) * direction for r in rels])
-    return GpgdTrace(gamma=1.0, residual=np.zeros((1, len(its))), iterates=[its])
+    return GpgdTrace(residual=np.zeros((1, len(its))), iterates=[its])
 
 
 def test_convergence_iteration_examples():
@@ -198,14 +195,14 @@ def test_convergence_iteration_rejects_zero_reference():
 
 def test_best_iterate_examples():
     its = np.array([np.zeros(2), np.ones(2), np.full(2, 2.0)])
-    t = GpgdTrace(gamma=1.0, residual=np.zeros((1, 3)), iterates=[its],
+    t = GpgdTrace(residual=np.zeros((1, 3)), iterates=[its],
                   psnr_db=np.array([[10.0, 30.0, 20.0]]))
     idx, x = best_iterate(t)
     assert idx.tolist() == [1] and np.array_equal(x, its[1:2])
-    t_tie = GpgdTrace(gamma=1.0, residual=np.zeros((1, 3)), iterates=[its],
+    t_tie = GpgdTrace(residual=np.zeros((1, 3)), iterates=[its],
                       psnr_db=np.array([[15.0, 15.0, 15.0]]))
     assert best_iterate(t_tie)[0].tolist() == [0]
-    t_single = GpgdTrace(gamma=1.0, residual=np.zeros((1, 1)),
+    t_single = GpgdTrace(residual=np.zeros((1, 1)),
                          iterates=[np.zeros((1, 2))], psnr_db=np.array([[12.0]]))
     assert best_iterate(t_single)[0].tolist() == [0]
 
@@ -214,7 +211,7 @@ def test_batch_helpers_give_each_row_its_own_hit():
     x_star = np.array([[3.0, 4.0], [1.0, -2.0]])
     its = [_trace_with_rel_errors(x_star[0], [1.0, 0.009, 0.5]).iterates[0],
            _trace_with_rel_errors(x_star[1], [0.5, 0.02, 1.0]).iterates[0]]
-    t = GpgdTrace(gamma=1.0, residual=np.zeros((2, 3)), iterates=its,
+    t = GpgdTrace(residual=np.zeros((2, 3)), iterates=its,
                   psnr_db=np.array([[10.0, 30.0, 20.0], [40.0, 10.0, 10.0]]))
     idx, best = best_iterate(t)
     assert idx.tolist() == [1, 0]
@@ -230,7 +227,7 @@ def test_batch_helpers_give_each_row_its_own_hit():
 
 
 def test_best_iterate_empty_trace():
-    t = GpgdTrace(gamma=1.0, residual=np.zeros((1, 0)), iterates=[np.zeros((0, 2))])
+    t = GpgdTrace(residual=np.zeros((1, 0)), iterates=[np.zeros((0, 2))])
     with pytest.raises(ValueError):
         best_iterate(t)
 
@@ -366,7 +363,7 @@ def test_trace_csv_matches_per_line_writer_byte_for_byte(tmp_path, absent):
     psnr_db = column()
     psnr_db[0, [0, 9]] = np.inf  # an exact reconstruction
     records = {"rel_err": np.abs(column()), "psnr_db": psnr_db}
-    trace = GpgdTrace(gamma=0.5, residual=np.abs(column()),
+    trace = GpgdTrace(residual=np.abs(column()),
                       iterates=[np.zeros((rows, 2))],
                       **{k: None if k in absent else v for k, v in records.items()})
     trace_to_csv(trace, tmp_path / "new.csv")
@@ -387,7 +384,8 @@ def test_early_stop_off_by_default_runs_full_budget():
 
 def _stack_problem(A, b, k, seed):
     rng = np.random.default_rng(seed)
-    X_true = np.stack([sample_member(KSparse(k, A.n), rng) for _ in range(b)])
+    X_true = np.concatenate([sample_member(KSparse(k, A.n), rng, 1)
+                             for _ in range(b)])
     Y = A.apply(X_true) + 0.01 * rng.standard_normal((b, A.m))
     return X_true, Y
 
@@ -450,13 +448,13 @@ def test_one_vector_is_a_batch_of_one():
     assert one.best_index.shape == (1,) and one.best_index == stack.best_index
 
 
-def test_stack_run_shares_one_vector_ground_truth_and_x0():
+def test_stack_run_shares_one_vector_ground_truth():
     A = make_inpainting_operator(16, 0.5, seed=6)
     x_true = np.zeros(16)
     x_true[[2, 9]] = [1.0, -0.5]
     Y = np.stack([A.apply(x_true), A.apply(x_true) + 0.1])
     proj = ExactProjector(KSparse(2, 16))
-    cfg = GpgdConfig(gamma=1.0, max_iters=5, x0=np.full(16, 0.25))
+    cfg = GpgdConfig(gamma=1.0, max_iters=5)
     _, trace = gpgd_run(A, Y, proj, cfg, ground_truth=x_true)
     for r in range(2):
         _, one = gpgd_run(A, Y[r], proj, cfg, ground_truth=x_true)
@@ -483,7 +481,8 @@ def test_trace_csv_refuses_a_multi_row_trace(tmp_path):
 def test_divergence_names_the_first_bad_row():
     # the projector overflows the first two entries of row 1 only; the
     # batch stops where the one-row run on row 1 stops, with the same norm
-    # of the last finite iterate, (5e159, 5e159, 0.5, 0.5), and names row 1
+    # of the last finite iterate, (5e159, 5e159, 1, 1), and names row 1;
+    # A keeps every pixel, so each row starts from its y = ones
     A = PixelMask(range(4), n=4)
 
     def blow_up(z):
@@ -496,12 +495,12 @@ def test_divergence_names_the_first_bad_row():
         out[1] = blow_up(Z[1])
         return out
 
-    cfg = GpgdConfig(gamma=0.5, max_iters=10, x0=np.ones(4))
+    cfg = GpgdConfig(gamma=0.5, max_iters=10)
     with pytest.raises(SolverDivergence) as one:
-        gpgd_run(A, np.zeros(4), blow_up, cfg)
+        gpgd_run(A, np.ones(4), blow_up, cfg)
     assert one.value.row == 0 and "row 0" in str(one.value)
     with pytest.raises(SolverDivergence) as batch:
-        gpgd_run(A, np.zeros((3, 4)), blow_up_row_1, cfg)
+        gpgd_run(A, np.ones((3, 4)), blow_up_row_1, cfg)
     assert batch.value.row == 1
     assert batch.value.iteration == one.value.iteration == 2
     assert batch.value.norm == one.value.norm

@@ -789,7 +789,6 @@ def test_theorem1_geometric_decay():
     b = theorem1_bound(0.5, 1.0, 1.0, init_err=1.0, atn_norm=0.0, iters=4)
     assert b.bounds is not None
     assert np.allclose(b.bounds, [1.0, 0.5, 0.25, 0.125, 0.0625])
-    assert b.limit == pytest.approx(0.0, abs=1e-15)
 
 
 def test_theorem1_zero_rate():
@@ -797,14 +796,9 @@ def test_theorem1_zero_rate():
     assert np.allclose(b.bounds, [1.0, 0.6, 0.6, 0.6])
 
 
-def test_theorem1_limit_term():
-    b = theorem1_bound(0.5, 1.0, 1.0, init_err=1.0, atn_norm=0.1, iters=2)
-    assert b.limit == pytest.approx(0.2, abs=1e-15)
-
-
 def test_theorem1_no_guarantee():
     b = theorem1_bound(0.9, 1.2, 1.0, 1.0, 0.0, 10)
-    assert b.bounds is None and b.limit is None
+    assert b.bounds is None
 
 
 def test_theorem1_rejects_negative():
