@@ -32,4 +32,4 @@ from .theory import (
     theorem3_bound,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"

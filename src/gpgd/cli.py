@@ -17,6 +17,7 @@ from .datasets import save_dataset_csv, synth_dataset
 from .experiments import (
     ExperimentConfig,
     VerifyConfig,
+    _build_operator,
     _summary_table,
     aggregate_report,
     config_from_text,
@@ -135,6 +136,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = load_config_dataset(cfg)
+    for seed in cfg.seeds:  # as gpgd solve would, so a bad operator trains nothing
+        _build_operator(cfg, ds, seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_to_text(cfg), encoding="utf-8")

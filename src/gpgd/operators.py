@@ -6,8 +6,11 @@ and adjoint likewise takes (m,) or (b, m). Each operator satisfies the
 adjoint identity <A u, v> = <u, A^T v> exactly up to floating point. The
 pixel-mask and blur operators do the same arithmetic on every row of a
 stack as on one signal, so a stack's rows equal the one-signal results bit
-for bit. All operators materialize to a dense (m, n) matrix for oracle
-checks; none of them use FFTs (desk-scale sizes only).
+for bit. Super-resolution's subsample is split in two: the blur computes
+only the image rows that the subsample keeps, and a pixel mask keeps
+every factor-th column of them. All operators materialize to a dense
+(m, n) matrix for oracle checks; none of them use FFTs (desk-scale sizes
+only).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "materialize",
     "gaussian_blur_kernel",
     "make_inpainting_operator",
-    "make_subsample_operator",
     "make_superres_operator",
 ]
 
@@ -130,7 +132,8 @@ class PixelMask(LinearOperator):
 
 
 class Blur(LinearOperator):
-    """2-D correlation with a kernel under symmetric (mirror) padding.
+    """2-D correlation with a kernel under symmetric (mirror) padding,
+    keeping every row_step-th output row.
 
     Gaussian kernels are flip-symmetric, so correlation and convolution
     coincide for them. For a k-by-k kernel K the blur of an h-by-w image X
@@ -138,16 +141,21 @@ class Blur(LinearOperator):
     mirror-padded row shift by a and C_a = sum_b K[a, b] T_b folds the
     mirror-padded column shifts T_b into one w-by-w matrix; this holds for
     any kernel, separable or not. `_shifts` stacks the C_a^T into one
-    (k w, w) matrix G, built once. Apply gathers the k mirror-shifted row
-    windows of each image into an (h, k w) block and multiplies it by G;
-    the adjoint multiplies by G^T, adds the k row-shifted (h, w) slabs
-    into a row-padded accumulator and folds its border rows back onto
-    their mirror sources, the transpose by construction. Both use a
-    stacked matmul with one GEMM of h rows per image, so a stack's rows
-    equal the one-signal results bit for bit.
+    (k w, w) matrix G, built once. The operator computes only output rows
+    0, row_step, 2 row_step, ..., so its image is (h / row_step)-by-w and
+    row_step = 1 is the full blur: Blur(K, shape, row_step=f) is S_row F
+    for the subsample S_row that keeps every f-th row. Apply gathers the k
+    mirror-shifted row windows of each kept row into an (h / row_step, k w)
+    block and multiplies it by G; the adjoint multiplies by G^T, adds the k
+    row-shifted slabs into every row_step-th row of a row-padded
+    accumulator and folds its border rows back onto their mirror sources,
+    the transpose by construction. Both use a stacked matmul with one GEMM
+    of h / row_step rows per image, so a stack's rows equal the one-signal
+    results bit for bit, and each kept row has the bits of the full blur's
+    row.
     """
 
-    def __init__(self, kernel, shape: tuple[int, int]):
+    def __init__(self, kernel, shape: tuple[int, int], row_step: int = 1):
         ker = np.asarray(kernel, dtype=np.float64)
         if ker.ndim != 2 or ker.shape[0] != ker.shape[1]:
             raise OperatorError("kernel must be square")
@@ -157,16 +165,24 @@ class Blur(LinearOperator):
         pad = ker.shape[0] // 2
         if pad > min(h, w):
             raise OperatorError(f"kernel {ker.shape[0]} too large for image {shape}")
+        if row_step < 1 or h % row_step:
+            raise OperatorError(
+                f"row_step must be >= 1 and divide the height {h}, got {row_step}"
+            )
         self.kernel = ker
         self.shape2d = (h, w)
         self.pad = pad
-        self.m = self.n = h * w
+        self.row_step = row_step
+        self.m = h // row_step * w
+        self.n = h * w
         k = ker.shape[0]
         # Mirror source of every padded row and column.
         src_row = np.pad(np.arange(h), pad, mode="symmetric")
         src_col = np.pad(np.arange(w), pad, mode="symmetric")
-        # _windows[i * k + a]: source row of output row i's a-th kernel row.
-        self._windows = src_row[np.arange(h)[:, None] + np.arange(k)].ravel()
+        # _windows[i * k + a]: source row of kept output row i's a-th
+        # kernel row.
+        kept = np.arange(0, h, row_step)
+        self._windows = src_row[kept[:, None] + np.arange(k)].ravel()
         # Padded rows 0..pad-1 and h+pad.. fold back onto these rows.
         self._top = src_row[:pad]
         self._bottom = src_row[h + pad :]
@@ -182,24 +198,25 @@ class Blur(LinearOperator):
 
     def _apply(self, x):
         h, w = self.shape2d
-        # One contiguous (b, h k, w) gather of the row windows, viewed as
-        # (b, h, k w), then one GEMM per image.
+        rows = h // self.row_step
+        # One contiguous (b, rows k, w) gather of the kept rows' windows,
+        # viewed as (b, rows, k w), then one GEMM per image.
         block = x.reshape(-1, h, w).take(self._windows, axis=1)
-        out = np.matmul(block.reshape(-1, h, self._shifts.shape[0]), self._shifts)
-        return out.reshape(x.shape)
+        out = np.matmul(block.reshape(-1, rows, self._shifts.shape[0]), self._shifts)
+        return out.reshape(x.shape[:-1] + (self.m,))
 
     def _adjoint(self, y):
         h, w = self.shape2d
-        k, pad = self.kernel.shape[0], self.pad
-        rows = np.matmul(y.reshape(-1, h, w), self._shifts_t)
-        rows = rows.reshape(-1, h, k, w)
+        k, pad, step = self.kernel.shape[0], self.pad, self.row_step
+        rows = np.matmul(y.reshape(-1, h // step, w), self._shifts_t)
+        rows = rows.reshape(-1, h // step, k, w)
         acc = np.zeros((rows.shape[0], h + 2 * pad, w))
         for a in range(k):
-            acc[:, a : a + h] += rows[:, :, a]
+            acc[:, a : a + h : step] += rows[:, :, a]
         out = acc[:, pad : pad + h]
         out[:, self._top] += acc[:, :pad]
         out[:, self._bottom] += acc[:, h + pad :]
-        return np.ascontiguousarray(out).reshape(y.shape)
+        return np.ascontiguousarray(out).reshape(y.shape[:-1] + (self.n,))
 
 
 class Composition(LinearOperator):
@@ -257,19 +274,21 @@ def make_inpainting_operator(n: int, ratio: float, seed: int) -> PixelMask:
     return PixelMask(kept, n)
 
 
-def make_subsample_operator(shape: tuple[int, int], factor: int) -> PixelMask:
-    """Keep the top-left pixel of each factor-by-factor block."""
+def make_superres_operator(shape: tuple[int, int], factor: int, kernel) -> Composition:
+    """Low-pass blur followed by subsampling: A = S F, where S keeps the
+    top-left pixel of each factor-by-factor block, in row-major order.
+
+    S factors as S_col S_row: the blur computes only the rows that S_row
+    keeps (Blur's row_step), and a pixel mask on that (h / factor)-by-w
+    grid keeps every factor-th column. The result equals the full blur
+    followed by the full subsample bit for bit.
+    """
     h, w = shape
     if factor < 1:
         raise OperatorError(f"factor must be >= 1, got {factor}")
     if h % factor or w % factor:
         raise OperatorError(f"shape {shape} not divisible by factor {factor}")
-    rows = np.arange(0, h, factor)
     cols = np.arange(0, w, factor)
-    kept = (rows[:, None] * w + cols[None, :]).reshape(-1)
-    return PixelMask(kept, h * w)
-
-
-def make_superres_operator(shape: tuple[int, int], factor: int, kernel) -> Composition:
-    """Low-pass blur followed by subsampling: A = S F."""
-    return Composition([make_subsample_operator(shape, factor), Blur(kernel, shape)])
+    kept = (np.arange(h // factor)[:, None] * w + cols[None, :]).reshape(-1)
+    return Composition([PixelMask(kept, h // factor * w),
+                        Blur(kernel, shape, row_step=factor)])

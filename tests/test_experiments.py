@@ -362,15 +362,31 @@ def test_net_width_differing_from_dataset_is_refused_before_training(tmp_path):
     assert not (Path(cfg.out_dir) / "checkpoints").exists()
 
 
-@pytest.mark.parametrize("over, match", [
+UNBUILDABLE_OPERATORS = pytest.mark.parametrize("over, match", [
     (dict(problem="superres", factor=3, dataset_name="bars"), "not divisible"),
     (dict(problem="deblur", dataset_name="sparse-combos"), "image-shaped"),
 ], ids=["superres-indivisible", "deblur-unshaped"])
+
+
+@UNBUILDABLE_OPERATORS
 def test_operator_that_cannot_be_built_is_refused_before_training(tmp_path, over,
                                                                   match):
     cfg = small_config(tmp_path, **over)
     with pytest.raises(ValueError, match=match):
         run_experiment(cfg)
+    assert not (Path(cfg.out_dir) / "checkpoints").exists()
+
+
+@UNBUILDABLE_OPERATORS
+def test_cli_train_refuses_an_operator_that_cannot_be_built(tmp_path, capsys, over,
+                                                            match):
+    # gpgd train checks every seed's operator as gpgd solve does, so it
+    # trains and writes nothing
+    cfg = small_config(tmp_path, seeds=(0, 1), **over)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(config_to_text(cfg))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert match in capsys.readouterr().err
     assert not (Path(cfg.out_dir) / "checkpoints").exists()
 
 

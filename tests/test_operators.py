@@ -19,7 +19,6 @@ from gpgd.operators import (
     gaussian_blur_kernel,
     materialize,
     make_inpainting_operator,
-    make_subsample_operator,
     make_superres_operator,
 )
 
@@ -63,8 +62,12 @@ def all_operator_kinds():
         make_inpainting_operator(30, 0.4, seed=7),
         Composition([PixelMask([1, 3], n=4), DenseOperator(rng.standard_normal((4, 6)))]),
         Blur(rng.standard_normal((5, 5)), (2, 7)),
+        Blur(kernel, (8, 6), row_step=2),
     ]
     return ops
+
+
+ALL_KINDS = range(len(all_operator_kinds()))
 
 
 def test_apply_dense_identity():
@@ -231,12 +234,13 @@ def test_superres_rejects_nondivisible_shape():
 
 
 def test_subsample_takes_top_left():
-    op = make_subsample_operator((4, 4), 2)
+    # a 1x1 identity kernel leaves pure subsampling
+    op = make_superres_operator((4, 4), 2, [[1.0]])
     x = np.arange(16.0)
     assert np.array_equal(op.apply(x), [0.0, 2.0, 8.0, 10.0])
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", ALL_KINDS)
 def test_adjoint_identity_all_kinds(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(100 + op_index)
@@ -248,7 +252,7 @@ def test_adjoint_identity_all_kinds(op_index):
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", ALL_KINDS)
 def test_linearity_all_kinds(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(200 + op_index)
@@ -261,7 +265,7 @@ def test_linearity_all_kinds(op_index):
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", ALL_KINDS)
 def test_dense_materialization_equality(op_index):
     op = all_operator_kinds()[op_index]
     dense = op.to_dense()
@@ -324,6 +328,54 @@ def test_blur_kernel_too_large_rejected():
         Blur(gaussian_blur_kernel(7, 1.0), (2, 2))
 
 
+@pytest.mark.parametrize("row_step", [0, -2, 3, 5])
+def test_blur_row_step_must_divide_height(row_step):
+    # below 1, or not a divisor of the height 8
+    with pytest.raises(OperatorError, match="row_step"):
+        Blur(gaussian_blur_kernel(3, 1.0), (8, 6), row_step=row_step)
+
+
+@pytest.mark.parametrize("shape, row_step", [((8, 6), 1), ((8, 6), 2), ((8, 6), 4),
+                                             ((12, 9), 3), ((28, 28), 7)])
+def test_blur_keeps_every_row_step_th_row(shape, row_step):
+    h, w = shape
+    kernel = gaussian_blur_kernel(3, 0.9)
+    op = Blur(kernel, shape, row_step=row_step)
+    assert (op.m, op.n) == (h // row_step * w, h * w)
+    full = Blur(kernel, shape)
+    X = np.random.default_rng(h * w + row_step).standard_normal((3, h * w))
+    kept = full.apply(X).reshape(3, h, w)[:, ::row_step].reshape(3, -1)
+    assert np.array_equal(op.apply(X), kept)
+
+
+def _blur_then_subsample(shape, factor, kernel):
+    """The pre-factorization super-resolution operator: the full blur, then
+    a mask that keeps the top-left pixel of each factor-by-factor block."""
+    h, w = shape
+    kept = (np.arange(0, h, factor)[:, None] * w + np.arange(0, w, factor)).reshape(-1)
+    return Composition([PixelMask(kept, h * w), Blur(kernel, shape)])
+
+
+@pytest.mark.parametrize("shape, factor", [((28, 28), 2), ((12, 9), 3), ((8, 8), 1)])
+@pytest.mark.parametrize("kernel_name", ["gauss3", "gauss5", "random5"])
+def test_superres_rows_blur_equals_full_blur_then_subsample(shape, factor,
+                                                            kernel_name):
+    rng = np.random.default_rng(1000 + shape[0] * factor)
+    kernel = {"gauss3": gaussian_blur_kernel(3, 0.8),
+              "gauss5": gaussian_blur_kernel(5, 1.2),
+              "random5": rng.standard_normal((5, 5))}[kernel_name]
+    op = make_superres_operator(shape, factor, kernel)
+    oracle = _blur_then_subsample(shape, factor, kernel)
+    assert (op.m, op.n) == (oracle.m, oracle.n)
+    for rows in ((), (1,), (2,), (20,)):
+        for _ in range(5):
+            x = rng.standard_normal(rows + (op.n,))
+            y = rng.standard_normal(rows + (op.m,))
+            assert np.array_equal(op.apply(x), oracle.apply(x))
+            assert np.array_equal(op.adjoint(y), oracle.adjoint(y))
+    assert np.array_equal(materialize(op), materialize(oracle))
+
+
 # --- stacks of signals, one per row -------------------------------------------
 
 
@@ -339,10 +391,11 @@ def stackable_kinds():
         make_superres_operator((8, 8), 2, kernel),
         Composition([make_inpainting_operator(36, 0.5, seed=4), Blur(kernel, (6, 6))]),
         Blur(np.random.default_rng(8).standard_normal((5, 5)), (2, 7)),
+        Blur(kernel, (8, 6), row_step=2),
     ]
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", range(len(stackable_kinds())))
 def test_stack_rows_equal_one_signal_results(op_index):
     op = stackable_kinds()[op_index]
     rng = np.random.default_rng(400 + op_index)
@@ -355,7 +408,7 @@ def test_stack_rows_equal_one_signal_results(op_index):
         assert np.array_equal(ATY, np.stack([op.adjoint(y) for y in Y]))
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", ALL_KINDS)
 def test_adjoint_identity_on_a_stack(op_index):
     op = all_operator_kinds()[op_index]
     rng = np.random.default_rng(500 + op_index)
@@ -390,7 +443,7 @@ def _columnwise_dense(op):
     return cols
 
 
-@pytest.mark.parametrize("op_index", range(7))
+@pytest.mark.parametrize("op_index", ALL_KINDS)
 def test_materialize_equals_columnwise_construction(op_index):
     op = all_operator_kinds()[op_index]
     dense = materialize(op)
